@@ -147,16 +147,15 @@ def _experiment_config(args, sharp: bool) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _finish_experiment(report, cfg) -> int:
+def _finish_experiment(report, output_path) -> int:
     if not report.all_finite():
         print("error: non-finite values in trial records", file=sys.stderr)
         return 2
-    if cfg.output_path:
-        report.write_csv(cfg.output_path)
-        print(json.dumps(report.summary(), sort_keys=True))
+    if output_path:
+        report.write_csv(output_path)
     else:
         sys.stdout.write(report.csv_body())
-        print(json.dumps(report.summary(), sort_keys=True))
+    print(json.dumps(report.summary(), sort_keys=True))
     return 0
 
 
@@ -171,13 +170,13 @@ def _cmd_verify(args) -> int:
         raise ConfigError("use the sharpness subcommand for SHARP-* ids")
     else:
         report = ratio_experiment(cfg)
-    return _finish_experiment(report, cfg)
+    return _finish_experiment(report, cfg.output_path)
 
 
 def _cmd_sharpness(args) -> int:
     cfg = _experiment_config(args, sharp=True)
     report = sharpness_experiment(cfg)
-    return _finish_experiment(report, cfg)
+    return _finish_experiment(report, cfg.output_path)
 
 
 def _cmd_multbound(args) -> int:
@@ -188,15 +187,7 @@ def _cmd_multbound(args) -> int:
     report = multiplication_experiment(n_values, args.seed, perm, exps,
                                        args.trials, args.window or
                                        "gaussian-sampled")
-    if not report.all_finite():
-        print("error: non-finite values in trial records", file=sys.stderr)
-        return 2
-    if args.out:
-        report.write_csv(args.out)
-    else:
-        sys.stdout.write(report.csv_body())
-    print(json.dumps(report.summary(), sort_keys=True))
-    return 0
+    return _finish_experiment(report, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import GaborSystem, dual_window, frame_bounds_check
+from .frames import GaborSystem, dual_window
 from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
 from .signals import FiniteSignal
 
@@ -113,7 +113,6 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
     _check_pair(b, psi)
     if b.rank != 3 or b.n != sys.n:
         raise ValueError("slicing expects rank-3 tables on the system's Z_n")
-    frame_bounds_check(sys)
     n = sys.n
     gamma = dual_window(sys).values
     ones = np.ones(n, dtype=np.complex128)

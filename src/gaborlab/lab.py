@@ -103,6 +103,11 @@ class TheoremSpec:
     default_perm: tuple
 
 
+# T4.3a and T4.4a state the same easy-form bound.
+_EASY_ZERO_MIXED = TheoremSpec(
+    "easy", "bare", "quadratic-zero-mixed", _slice_ok, "slice",
+    lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4))
+
 THEOREMS = {
     "T2.9": TheoremSpec(
         "kernel", "kernel", "none", _slice_ok, "slice",
@@ -116,15 +121,11 @@ THEOREMS = {
     "T4.2a": TheoremSpec(  # multiplication bound; handled by its own driver
         "kernel", "kernel", "none", lambda c, d=1: len(c) == 2, "two-axis",
         lambda p: (2.0, p), (1, 2)),
-    "T4.3a": TheoremSpec(
-        "easy", "bare", "quadratic-zero-mixed", _slice_ok, "slice",
-        lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
+    "T4.3a": _EASY_ZERO_MIXED,
     "T4.3b": TheoremSpec(
         "hard", "bare", "quadratic-zero-mixed", _fio_slice_ok, "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
-    "T4.4a": TheoremSpec(
-        "easy", "bare", "quadratic-zero-mixed", _slice_ok, "slice",
-        lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
+    "T4.4a": _EASY_ZERO_MIXED,
     "T4.4b": TheoremSpec(
         "hard", "bare", "quadratic-zero-mixed", _fio_symbol_ok, "FIO symbol",
         lambda p: (INF, 2.0, 2.0, p, p, 1.0), (6, 1, 4, 2, 5, 3)),

@@ -216,5 +216,4 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
         raise ValueError("window group size does not match")
     if len(c) != 2 * sig.dim:
         raise ValueError(f"permutation must have length {2 * sig.dim}")
-    tw = window if sig.dim == 1 else tensor_window(window, sig.dim)
-    return mixed_norm(stft(sig, tw).values, c, exps)
+    return mixed_norm(stft(sig, window).values, c, exps)

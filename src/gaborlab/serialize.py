@@ -3,7 +3,6 @@
 Signals: {"n": int, "dim": int, "re": [...], "im": [...]} flat row-major.
 Tables/matrices: {"n": int, "rank": r, "re": nested, "im": nested}; "im"
 may be omitted for real data, and nested lists may be given flat.
-QuadraticPhase: {"c0": real, "q": [ints], "M": [[ints]]}.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import json
 
 import numpy as np
 
-from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
+from .operators import OperatorMatrix
 from .signals import FiniteSignal, TFArray
 
 __all__ = [
@@ -21,8 +20,6 @@ __all__ = [
     "tfarray_to_dict",
     "array_from_dict",
     "matrix_from_dict",
-    "matrix_to_dict",
-    "quadratic_phase_from_dict",
     "load_json",
     "dump_json",
 ]
@@ -85,30 +82,3 @@ def matrix_from_dict(payload: dict) -> OperatorMatrix:
     vals = _complex_from(payload)
     n = int(payload.get("n", 0)) or int(round(np.sqrt(vals.size)))
     return OperatorMatrix(n, vals.reshape(n, n))
-
-
-def matrix_to_dict(a: OperatorMatrix) -> dict:
-    return {
-        "n": a.n,
-        "re": a.entries.real.tolist(),
-        "im": a.entries.imag.tolist(),
-    }
-
-
-def symbol_from_dict(payload: dict) -> SymbolTable:
-    vals = _complex_from(payload)
-    rank = int(payload["rank"])
-    n = int(payload["n"])
-    return SymbolTable(n, rank, vals.reshape((n,) * rank))
-
-
-def phase_from_dict(payload: dict) -> PhaseTable:
-    vals = np.asarray(payload["re"] if "re" in payload else payload["values"],
-                      dtype=np.float64)
-    rank = int(payload["rank"])
-    n = int(payload["n"])
-    return PhaseTable(n, rank, vals.reshape((n,) * rank))
-
-
-def quadratic_phase_from_dict(payload: dict) -> QuadraticPhase:
-    return QuadraticPhase(float(payload.get("c0", 0.0)), payload["q"], payload["M"])

@@ -11,13 +11,14 @@ Conventions fixed here and relied on everywhere else:
   w = exp(2 pi i / n).
 * The STFT carries the same n^(-d/2) prefactor so that the Moyal
   identity sum |V|^2 = |f|^2 |g|^2 holds with constant 1.
+* A one-dimensional window on Z_n^d means its tensor power g (x) ... (x) g.
 * TFArray axes are ordered "all time shifts, then all frequencies".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.fft
@@ -77,12 +78,11 @@ class FiniteSignal:
 
 @dataclass(frozen=True)
 class TFArray:
-    """Sampled STFT values on Z_n^m x Z_n^m with named axis semantics."""
+    """Sampled STFT values on Z_n^m x Z_n^m, all time shifts before all frequencies."""
 
     n: int
     m: int
     values: np.ndarray
-    axis_roles: tuple = field(default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -91,13 +91,6 @@ class TFArray:
         if vals.shape != (self.n,) * (2 * self.m):
             raise ValueError("all axes must have length n")
         object.__setattr__(self, "values", vals)
-        roles = tuple(f"x{i + 1}" for i in range(self.m)) + tuple(
-            f"xi{i + 1}" for i in range(self.m)
-        )
-        if self.axis_roles is None:
-            object.__setattr__(self, "axis_roles", roles)
-        elif tuple(self.axis_roles) != roles:
-            raise ValueError("axis_roles must list every x before every xi")
 
 
 def delta(n: int, dim: int = 1, at=0) -> FiniteSignal:
@@ -163,42 +156,35 @@ def idft(f: FiniteSignal) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, out)
 
 
-@lru_cache(maxsize=4)
-def _shift_index_table(n: int, dim: int) -> np.ndarray:
-    """idx[k, t] = flat index of (t - k) mod n, both k, t flat over Z_n^dim."""
-    coords = np.indices((n,) * dim).reshape(dim, -1)  # (dim, n^dim)
-    diff = (coords[:, None, :] - coords[:, :, None]) % n  # (dim, k, t)
-    flat = np.zeros((n**dim, n**dim), dtype=np.int64)
-    for ax in range(dim):
-        flat = flat * n + diff[ax]
-    return flat.astype(np.int32 if n**dim < 2**31 else np.int64)
-
-
-# Gathered conjugate-window tables are large (n^(2d) entries); keep only
-# the most recent one, which covers the fixed-window/many-signals pattern.
-_window_cache = {"key": None, "table": None}
-
-
-def _window_table(g: FiniteSignal) -> np.ndarray:
-    """windows[k, t] = conj(g)((t - k) mod n), flat over shifts and points."""
-    key = (g.n, g.dim, g.values.tobytes())
-    if _window_cache["key"] != key:
-        idx = _shift_index_table(g.n, g.dim)
-        _window_cache["key"] = key
-        _window_cache["table"] = np.conj(g.values)[idx]
-    return _window_cache["table"]
-
-
 def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
-    """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>."""
-    if (f.n, f.dim) != (g.n, g.dim):
+    """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>.
+
+    A one-dimensional window g on a d-dimensional signal stands for its
+    tensor power g (x) ... (x) g; the transform then runs one axis at a time.
+    """
+    if f.n != g.n:
         raise ValueError("signal and window live on different groups")
     n, d = f.n, f.dim
-    h = f.values[None, :] * _window_table(g)
-    spec = scipy.fft.fftn(h.reshape((-1,) + (n,) * d),
-                          axes=tuple(range(1, d + 1)), overwrite_x=True)
-    vals = spec.reshape((n,) * (2 * d)) * n ** (-d / 2)
-    return TFArray(n, d, vals)
+    t = np.arange(n)
+    idx = (t[None, :] - t[:, None]) % n  # idx[k, t] = (t - k) mod n
+    if g.dim == 1:
+        w = np.conj(g.values)[idx] * n ** -0.5
+        arr = f.values
+        for j in range(d):
+            # arr is (k_1, l_1, ..., k_j, l_j, t_{j+1}, ..., t_d), flat.
+            arr = arr.reshape(n ** (2 * j), 1, n, n ** (d - j - 1)) * w[:, :, None]
+            arr = scipy.fft.fft(arr, axis=2, overwrite_x=True)
+        order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+        return TFArray(n, d, arr.reshape((n,) * (2 * d)).transpose(order))
+    if g.dim != d:
+        raise ValueError(f"window dimension {g.dim} is neither 1 nor {d}")
+    # General window: gather conj(g)(t - k) through idx on every axis pair
+    # (k_j, t_j), then one FFT over the point axes.
+    gather = tuple(idx.reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - j - 1))
+                   for j in range(d))
+    h = f.grid * np.conj(g.grid)[gather]
+    spec = scipy.fft.fftn(h, axes=tuple(range(d, 2 * d)), overwrite_x=True)
+    return TFArray(n, d, spec * n ** (-d / 2))
 
 
 def wiener_amalgam_norm(f: FiniteSignal, block_len: int) -> float:

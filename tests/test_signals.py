@@ -17,6 +17,7 @@ from gaborlab.signals import (
     tf_shift,
     wiener_amalgam_norm,
 )
+from gaborlab.mixednorm import tensor_window
 
 
 def _rand(n, dim, seed):
@@ -108,13 +109,30 @@ class TestSTFT:
         f, g = _rand(6, 1, 0), _rand(6, 1, 1)
         assert np.allclose(stft(f, g).values, stft_reference(f, g), atol=1e-12)
 
-    def test_matches_inner_products(self):
-        f, g = _rand(4, 2, 2), _rand(4, 2, 3)
+    @pytest.mark.parametrize("dim,window_dim", [(2, 2), (2, 1), (3, 1)],
+                             ids=["general-d2", "tensor-d2", "tensor-d3"])
+    def test_matches_inner_products(self, dim, window_dim):
+        """A 1-D window on Z_n^d acts as its tensor power."""
+        n = 4
+        f, g = _rand(n, dim, 2), _rand(n, window_dim, 3)
+        full = g if window_dim == dim else tensor_window(g, dim)
         v = stft(f, g).values
-        for k in np.ndindex(4, 4):
-            for l in np.ndindex(4, 4):
-                expect = f.inner(tf_shift(g, k, l)) / 4.0
-                assert np.isclose(v[k + l], expect, atol=1e-12)
+        scale = n ** (dim / 2)
+        for k in np.ndindex((n,) * dim):
+            for l in np.ndindex((n,) * dim):
+                expect = f.inner(tf_shift(full, k, l)) / scale
+                assert abs(v[k + l] - expect) <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("n,dim", [(7, 1), (6, 2), (5, 3)])
+    def test_separable_matches_general(self, n, dim):
+        f, g = _rand(n, dim, 4), _rand(n, 1, 5)
+        sep = stft(f, g).values
+        gen = stft(f, tensor_window(g, dim)).values
+        assert np.max(np.abs(sep - gen)) <= 1e-12 * np.max(np.abs(gen))
+
+    def test_window_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            stft(_rand(4, 3, 0), _rand(4, 2, 1))
 
     @pytest.mark.parametrize("n,dim", [(8, 1), (16, 1), (64, 1), (4, 2)])
     def test_moyal(self, n, dim):
