@@ -161,16 +161,9 @@ def _finish_experiment(report, output_path) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _experiment_config(args, sharp=False)
-    if cfg.theorem_id == "T4.2a":
-        report = multiplication_experiment(
-            cfg.n_values, cfg.seed, cfg.permutation, cfg.exponents(),
-            cfg.trials, cfg.window_kind)
-        report.summary_extra["n_values"] = list(cfg.n_values)
-    elif cfg.theorem_id in SHARPNESS_IDS:
+    if cfg.theorem_id in SHARPNESS_IDS:
         raise ConfigError("use the sharpness subcommand for SHARP-* ids")
-    else:
-        report = ratio_experiment(cfg)
-    return _finish_experiment(report, cfg.output_path)
+    return _finish_experiment(ratio_experiment(cfg), cfg.output_path)
 
 
 def _cmd_sharpness(args) -> int:
@@ -292,6 +285,10 @@ def run_cli(argv=None) -> int:
         return args.func(args)
     except (ConfigError, NotAFrameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the configuration is too large for this "
+              "machine", file=sys.stderr)
         return 1
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .fio import build_easy_fio, build_hard_fio, quadratic_phase_table
 from .mixednorm import (
     ExponentVector,
     Permutation,
+    _block,
     classify_permutation,
     mixed_modulation_norm,
     satisfies_blocks,
@@ -61,34 +62,33 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _slice_ok(c, d=1):
-    return bool(classify_permutation(c, d) & {"first-slice", "second-slice"})
+def _classes(*names):
+    """perm_ok predicate: c lies in at least one of the named classes."""
+    wanted = frozenset(names)
+    return lambda c, d=1: bool(classify_permutation(c, d) & wanted)
 
 
-def _fio_slice_ok(c, d=1):
-    return bool(classify_permutation(c, d) & {"first-FIO-slice", "second-FIO-slice"})
-
-
-def _fio_symbol_ok(c, d=1):
-    return bool(classify_permutation(c, d) & {"first-FIO-symbol", "second-FIO-symbol"})
+_slice_ok = _classes("first-slice", "second-slice")
+_fio_slice_ok = _classes("first-FIO-slice", "second-FIO-slice")
+_fio_symbol_ok = _classes("first-FIO-symbol", "second-FIO-symbol")
 
 
 def _relaxed_easy_ok(c, d=1):
     # xi_y axes innermost, or y axes innermost.
-    cond_i = [(frozenset(range(3 * d + 1, 4 * d + 1)), frozenset(range(1, d + 1)))]
-    cond_ii = [(frozenset(range(2 * d + 1, 3 * d + 1)), frozenset(range(1, d + 1)))]
-    return satisfies_blocks(c, cond_i) or satisfies_blocks(c, cond_ii)
+    inner = _block(1, d)
+    return (satisfies_blocks(c, [(_block(3 * d + 1, 4 * d), inner)])
+            or satisfies_blocks(c, [(_block(2 * d + 1, 3 * d), inner)]))
 
 
 def _relaxed_hard_ok(c, d=1):
     base = [
-        (frozenset(range(5 * d + 1, 6 * d + 1)), frozenset(range(1, d + 1))),
-        (frozenset(range(2 * d + 1, 3 * d + 1)), frozenset(range(5 * d + 1, 6 * d + 1))),
+        (_block(5 * d + 1, 6 * d), _block(1, d)),
+        (_block(2 * d + 1, 3 * d), _block(5 * d + 1, 6 * d)),
     ]
-    cond_i = [(frozenset(range(4 * d + 1, 5 * d + 1)), frozenset(range(d + 1, 2 * d + 1)))]
-    cond_ii = [(frozenset(range(3 * d + 1, 4 * d + 1)), frozenset(range(d + 1, 2 * d + 1)))]
+    second = _block(d + 1, 2 * d)
     return satisfies_blocks(c, base) and (
-        satisfies_blocks(c, cond_i) or satisfies_blocks(c, cond_ii)
+        satisfies_blocks(c, [(_block(4 * d + 1, 5 * d), second)])
+        or satisfies_blocks(c, [(_block(3 * d + 1, 4 * d), second)])
     )
 
 
@@ -118,7 +118,7 @@ THEOREMS = {
     "T3.2": TheoremSpec(
         "hard", "product", "random", _fio_slice_ok, "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
-    "T4.2a": TheoremSpec(  # multiplication bound; handled by its own driver
+    "T4.2a": TheoremSpec(  # multiplication bound; see multiplication_experiment
         "kernel", "kernel", "none", lambda c, d=1: len(c) == 2, "two-axis",
         lambda p: (2.0, p), (1, 2)),
     "T4.3a": _EASY_ZERO_MIXED,
@@ -288,15 +288,6 @@ class Report:
         )
 
 
-def _finish_report(theorem, records, extra) -> Report:
-    per_n = {}
-    for r in records:
-        per_n[r.n] = max(per_n.get(r.n, 0.0), r.ratio)
-    positives = [v for v in per_n.values() if v > 0]
-    growth = (max(positives) / min(positives)) if positives else 0.0
-    return Report(theorem, records, per_n, growth, extra)
-
-
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
@@ -389,82 +380,93 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _run_trials(theorem, n_values, trials, seed, p, window_kind, trial,
+                extra) -> Report:
+    """The seeded loop every experiment runs: one window per n, one
+    generator per (n, trial), and `trial(n, window, rng)` returning
+    (schatten, mixednorm, metadata) for that draw."""
+    records, per_n = [], {}
+    for n in n_values:
+        window = make_window(window_kind, n, seed)
+        for t in range(trials):
+            s, m, meta = trial(n, window, _trial_rng(seed, n, t))
+            ratio = 0.0 if s == 0.0 else s / m
+            records.append(TrialRecord(theorem, n, t, p, s, m, ratio, seed, meta))
+            per_n[n] = max(per_n.get(n, 0.0), ratio)
+    positives = [v for v in per_n.values() if v > 0]
+    growth = (max(positives) / min(positives)) if positives else 0.0
+    return Report(theorem, records, per_n, growth, extra)
+
+
 def ratio_experiment(cfg: ExperimentConfig) -> Report:
     """Schatten-vs-mixed-modulation-norm ratios for one theorem."""
     if cfg.theorem_id in SHARPNESS:
         raise ConfigError("use sharpness_experiment for SHARP-* ids")
-    if cfg.theorem_id == "T4.2a":
-        raise ConfigError("use multiplication_experiment for T4.2a")
-    spec = THEOREMS[cfg.theorem_id]
     exps = cfg.exponents()
-    records = []
-    for n in cfg.n_values:
-        window = make_window(cfg.window_kind, n, cfg.seed)
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, n, trial)
-            op, obj, meta = _build_trial(spec, n, rng)
-            s = schatten_norm(op, cfg.p)
-            m = mixed_modulation_norm(obj, window, cfg.permutation, exps)
-            ratio = 0.0 if s == 0.0 else s / m
-            records.append(TrialRecord(cfg.theorem_id, n, trial, cfg.p, s, m,
-                                       ratio, cfg.seed, meta))
-    return _finish_report(cfg.theorem_id, records, _config_extra(cfg, exps))
+    if cfg.theorem_id == "T4.2a":
+        return multiplication_experiment(cfg.n_values, cfg.seed, cfg.permutation,
+                                         exps, cfg.trials, cfg.window_kind)
+    spec = THEOREMS[cfg.theorem_id]
+
+    def trial(n, window, rng):
+        op, obj, meta = _build_trial(spec, n, rng)
+        return (schatten_norm(op, cfg.p),
+                mixed_modulation_norm(obj, window, cfg.permutation, exps), meta)
+
+    return _run_trials(cfg.theorem_id, cfg.n_values, cfg.trials, cfg.seed, cfg.p,
+                       cfg.window_kind, trial, _config_extra(cfg, exps))
 
 
-def _induced_factor(c: Permutation, exps: ExponentVector, remap: dict):
-    """Sub-permutation and exponents for one tensor factor's axes."""
-    image, sub = [], []
-    for level, axis in enumerate(c.image, start=1):
-        if axis in remap:
-            image.append(remap[axis])
-            sub.append(exps.exps[level - 1])
-    return Permutation(tuple(image)), ExponentVector(tuple(sub))
-
-
-def tensor_mixed_norm(b1: np.ndarray, window: FiniteSignal, c: Permutation,
+def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
                       exps: ExponentVector) -> float:
-    """Mixed modulation norm of b1(x, y) (x) 1(xi), computed factorized.
+    """Mixed modulation norm of a tensor product, computed factor by factor.
 
-    Exact because the STFT of a tensor product against a tensor-power
-    window splits axis-by-axis, so nested contractions factor.
+    `factors` lists (array, axes) pairs; `axes` are the 1-based product
+    axes that the array's own axes fill, in order, and together they
+    partition 1..rank.  Exact because the STFT of a tensor product against
+    a tensor-power window splits axis by axis, so nested contractions factor.
     """
-    n = window.n
-    perm1, exps1 = _induced_factor(c, exps, {1: 1, 2: 2, 4: 3, 5: 4})
-    perm2, exps2 = _induced_factor(c, exps, {3: 1, 6: 2})
-    part1 = mixed_modulation_norm(SymbolTable(n, 2, b1), window, perm1, exps1)
-    ones = FiniteSignal(n, 1, np.ones(n, dtype=np.complex128))
-    part2 = mixed_modulation_norm(ones, window, perm2, exps2)
-    return part1 * part2
+    rank = sum(len(axes) for _, axes in factors)
+    if sorted(a for _, axes in factors for a in axes) != list(range(1, rank + 1)):
+        raise ValueError(f"factor axes must partition 1..{rank}")
+    norm = 1.0
+    for arr, axes in factors:
+        # Product time axis a and frequency axis rank + a become the
+        # factor's own axes j and len(axes) + j; levels keep their order.
+        local = {}
+        for j, a in enumerate(axes, start=1):
+            local[a] = j
+            local[rank + a] = len(axes) + j
+        levels = [lv for lv, axis in enumerate(c.image) if axis in local]
+        perm = Permutation(tuple(local[c.image[lv]] for lv in levels))
+        sub = ExponentVector(tuple(exps.exps[lv] for lv in levels))
+        norm *= mixed_modulation_norm(arr, window, perm, sub)
+    return norm
 
 
 def sharpness_experiment(cfg: ExperimentConfig) -> Report:
     """Closed-form blow-up families with one or more exponent slots raised."""
     if cfg.theorem_id not in SHARPNESS:
         raise ConfigError(f"{cfg.theorem_id} is not a sharpness experiment id")
-    base_id = cfg.base_theorem
-    spec = THEOREMS[base_id]
     exps = cfg.exponents()
-    records = []
-    for n in cfg.n_values:
-        window = make_window(cfg.window_kind, n, cfg.seed)
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, n, trial)
-            meta = {"arm": "control" if cfg.control_arm else "violated"}
-            if base_id == "T2.9":
-                kernel = np.ones((n, n), dtype=np.complex128)
-                op = OperatorMatrix(n, kernel)
-                m = mixed_modulation_norm(SymbolTable(n, 2, kernel), window,
-                                          cfg.permutation, exps)
-            else:
-                b, b1, _ = gen_ensemble("tensor-symbol", n, rng)
-                psi = PhaseTable(n, 3, np.zeros((n, n, n)))
-                op = build_hard_fio(b, psi)
-                m = tensor_mixed_norm(b1, window, cfg.permutation, exps)
-            s = schatten_norm(op, cfg.p)
-            ratio = 0.0 if s == 0.0 else s / m
-            records.append(TrialRecord(cfg.theorem_id, n, trial, cfg.p, s, m,
-                                       ratio, cfg.seed, meta))
-    return _finish_report(cfg.theorem_id, records, _config_extra(cfg, exps))
+    arm = "control" if cfg.control_arm else "violated"
+
+    def trial(n, window, rng):
+        if cfg.base_theorem == "T2.9":
+            ones = np.ones(n, dtype=np.complex128)
+            op = OperatorMatrix(n, np.outer(ones, ones))
+            factors = [(ones, (1,)), (ones, (2,))]
+        else:
+            # Hard form with symbol b1(x, y) (x) b2(xi) and zero phase.
+            b, b1, b2 = gen_ensemble("tensor-symbol", n, rng)
+            op = build_hard_fio(b, PhaseTable(n, 3, np.zeros((n, n, n))))
+            factors = [(b1, (1, 2)), (b2, (3,))]
+        return (schatten_norm(op, cfg.p),
+                tensor_mixed_norm(factors, window, cfg.permutation, exps),
+                {"arm": arm})
+
+    return _run_trials(cfg.theorem_id, cfg.n_values, cfg.trials, cfg.seed, cfg.p,
+                       cfg.window_kind, trial, _config_extra(cfg, exps))
 
 
 def multiplication_experiment(n_values, seed: int, c: Permutation,
@@ -480,29 +482,26 @@ def multiplication_experiment(n_values, seed: int, c: Permutation,
         raise ConfigError("exponents must follow the (2, p) pattern")
     id2 = Permutation.identity(2)
     winf1 = ExponentVector((INF, 1.0))
-    records = []
-    for n in n_values:
-        window = make_window(window_kind, n, seed)
-        for trial in range(trials):
-            rng = _trial_rng(seed, n, trial)
-            f = random_signal(n, 1, rng)
-            g = random_signal(n, 1, rng)
-            prod = FiniteSignal(n, 1, f.values * g.values)
-            num = mixed_modulation_norm(prod, window, c, exps)
-            den_f = mixed_modulation_norm(f, window, c, exps)
-            den_g = mixed_modulation_norm(g, window, id2, winf1)
-            den = den_f * den_g
-            ratio = 0.0 if num == 0.0 else num / den
-            records.append(TrialRecord("MULT", n, trial, exps.exps[1], num, den,
-                                       ratio, seed, {}))
+
+    def trial(n, window, rng):
+        f = random_signal(n, 1, rng)
+        g = random_signal(n, 1, rng)
+        prod = FiniteSignal(n, 1, f.values * g.values)
+        num = mixed_modulation_norm(prod, window, c, exps)
+        den = (mixed_modulation_norm(f, window, c, exps)
+               * mixed_modulation_norm(g, window, id2, winf1))
+        return num, den, {}
+
     extra = {
+        "n_values": list(n_values),
         "permutation": list(c.image),
         "exponents": [str(e) for e in exps.exps],
         "trials": trials,
         "seed": seed,
         "window": window_kind,
     }
-    return _finish_report("MULT", records, extra)
+    return _run_trials("MULT", n_values, trials, seed, exps.exps[1], window_kind,
+                       trial, extra)
 
 
 def _config_extra(cfg: ExperimentConfig, exps: ExponentVector) -> dict:

@@ -1,11 +1,14 @@
 """CLI: subcommand plumbing, exit codes, serialized IO round-trips."""
 
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from gaborlab.cli import run_cli
+from gaborlab import cli
+from gaborlab.cli import build_parser, run_cli
 from gaborlab.serialize import (
     dump_json,
     load_json,
@@ -139,3 +142,25 @@ def test_multbound_subcommand(capsys):
     assert run_cli(["multbound", "--n", "8", "--trials", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("theorem,n,trial")
+
+
+def test_memory_error_exits_one(monkeypatch, capsys):
+    def oversized(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ratio_experiment", oversized)
+    assert run_cli(["verify", "--theorem", "T3.1", "--n", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.strip() for line in section.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("gaborlab ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -15,9 +15,10 @@ from gaborlab.lab import (
     multiplication_experiment,
     ratio_experiment,
     sharpness_experiment,
+    tensor_mixed_norm,
 )
-from gaborlab.mixednorm import ExponentVector, Permutation
-from gaborlab.operators import QuadraticPhase
+from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
+from gaborlab.operators import QuadraticPhase, SymbolTable
 
 
 class TestConfig:
@@ -120,8 +121,6 @@ class TestRatioExperiment:
 
     def test_every_theorem_runs_small(self):
         for theorem in THEOREM_IDS:
-            if theorem == "T4.2a":
-                continue
             cfg = ExperimentConfig(theorem_id=theorem, n_values=(8,), trials=1,
                                    seed=0)
             rep = ratio_experiment(cfg)
@@ -166,6 +165,46 @@ class TestSharpnessExperiment:
             assert sharpness_experiment(cfg).all_finite()
 
 
+class TestTensorMixedNorm:
+    """The factored norm against the full norm of the materialised product."""
+
+    @staticmethod
+    def _arms(theorem, n, p):
+        return [ExperimentConfig(theorem_id=theorem, n_values=(n,), p=p,
+                                 control_arm=control)
+                for control in (False, True)]
+
+    @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
+    def test_b1_times_one(self, theorem):
+        n = 6
+        _, b1, b2 = gen_ensemble("tensor-symbol", n, 3)
+        full = SymbolTable(n, 3, b1[:, :, None] * b2[None, None, :])
+        window = make_window("gaussian-sampled", n)
+        for cfg in self._arms(theorem, n, 1.5):
+            exps = cfg.exponents()
+            got = tensor_mixed_norm([(b1, (1, 2)), (b2, (3,))], window,
+                                    cfg.permutation, exps)
+            want = mixed_modulation_norm(full, window, cfg.permutation, exps)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_one_times_one(self):
+        n = 8
+        ones = np.ones(n, dtype=np.complex128)
+        window = make_window("gaussian-sampled", n)
+        perm = Permutation((1, 3, 2, 4))
+        for cfg in self._arms("SHARP-T2.9", n, 1.5):
+            exps = cfg.exponents()
+            got = tensor_mixed_norm([(ones, (1,)), (ones, (2,))], window, perm, exps)
+            want = mixed_modulation_norm(np.outer(ones, ones), window, perm, exps)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_axes_must_partition(self):
+        ones = np.ones(4, dtype=np.complex128)
+        with pytest.raises(ValueError, match="partition"):
+            tensor_mixed_norm([(ones, (1,)), (ones, (1,))], make_window("delta", 4),
+                              Permutation((1, 3, 2, 4)), ExponentVector((2.0,) * 4))
+
+
 class TestMultiplicationExperiment:
     def test_runs_and_bounded(self):
         rep = multiplication_experiment((8, 16), 3, Permutation((1, 2)),
@@ -182,6 +221,16 @@ class TestMultiplicationExperiment:
         args = ((8,), 5, Permutation((2, 1)), ExponentVector((2.0, 1.0)), 4)
         assert (multiplication_experiment(*args).csv_body()
                 == multiplication_experiment(*args).csv_body())
+
+    def test_config_path_matches(self):
+        cfg = ExperimentConfig(theorem_id="T4.2a", n_values=(8, 12), p=1.25,
+                               trials=3, seed=4)
+        rep = ratio_experiment(cfg)
+        direct = multiplication_experiment((8, 12), 4, Permutation((1, 2)),
+                                           ExponentVector((2.0, 1.25)), 3)
+        assert rep.csv_body() == direct.csv_body()
+        assert rep.summary() == direct.summary()
+        assert rep.summary()["n_values"] == [8, 12]
 
 
 class TestReport:
