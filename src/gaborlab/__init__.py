@@ -62,7 +62,6 @@ from .lab import (
     TrialRecord,
     gen_ensemble,
     make_window,
-    multiplication_experiment,
     ratio_experiment,
     sharpness_experiment,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "SingularSpectrum", "pair_functional", "schatten_norm",
     "singular_values",
     "ConfigError", "ExperimentConfig", "Report", "TrialRecord",
-    "gen_ensemble", "make_window", "multiplication_experiment",
-    "ratio_experiment", "sharpness_experiment",
+    "gen_ensemble", "make_window", "ratio_experiment",
+    "sharpness_experiment",
     "main", "run_cli",
 ]

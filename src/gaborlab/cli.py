@@ -16,8 +16,8 @@ import numpy as np
 
 from .frames import GaborSystem, NotAFrameError, canonical_tight_window, \
     dual_window, frame_bounds
-from .lab import ConfigError, ExperimentConfig, multiplication_experiment, \
-    ratio_experiment, sharpness_experiment, SHARPNESS_IDS
+from .lab import ConfigError, ExperimentConfig, ratio_experiment, \
+    sharpness_experiment, SHARPNESS_IDS
 from .mixednorm import ExponentVector, Permutation, mixed_norm
 from .schatten import schatten_norm, singular_values
 from .serialize import array_from_dict, load_json, matrix_from_dict, \
@@ -124,8 +124,6 @@ def _experiment_config(args, sharp: bool) -> ExperimentConfig:
             fields["window_kind" if name == "window" else name] = val
     if args.perm is not None:
         fields["permutation"] = Permutation.parse(args.perm)
-    elif isinstance(fields.get("permutation"), (list, tuple)):
-        fields["permutation"] = Permutation(tuple(fields["permutation"]))
     if args.out is not None:
         fields["output_path"] = args.out
     if sharp:
@@ -173,14 +171,11 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_multbound(args) -> int:
-    n_values = tuple(int(tok) for tok in args.n.split(","))
-    perm = Permutation.parse(args.perm) if args.perm else Permutation.identity(2)
-    exps = ExponentVector.parse(args.exps) if args.exps \
-        else ExponentVector((2.0, 1.5))
-    report = multiplication_experiment(n_values, args.seed, perm, exps,
-                                       args.trials, args.window or
-                                       "gaussian-sampled")
-    return _finish_experiment(report, args.out)
+    exps = ExponentVector.parse(args.exps).exps
+    if len(exps) != 2 or exps[0] != 2.0:
+        raise ConfigError(f"--exps must follow the (2, q) pattern, got {args.exps}")
+    args.p = exps[1]
+    return _cmd_verify(args)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True, help="comma-separated group sizes")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--perm", default=None)
-    sp.add_argument("--exps", default=None)
+    sp.add_argument("--exps", default="2,1.5", help="exponents 2,q")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--window", default=None,
                     choices=["delta", "gaussian-sampled", "random"])
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_multbound)
+    sp.set_defaults(func=_cmd_multbound, theorem="T4.2a", config=None)
 
     return parser
 

@@ -1,5 +1,5 @@
 """Experiment harness: per-theorem ratio experiments, sharpness blow-up
-experiments, multiplication-bound experiments and CSV/JSON reporting.
+experiments and CSV/JSON reporting.
 
 Each registered theorem id fixes an operator form (plain kernel, easy or
 hard oscillatory form), the object whose mixed modulation norm is taken
@@ -8,6 +8,9 @@ requirement and an exponent pattern.  A trial draws a seeded ensemble,
 builds the operator, and records
 
     ratio = schatten_norm(A, p) / mixed_modulation_norm(object).
+
+T4.2a, the pointwise-product bound, records instead the ratio of the
+product's mixed norm to the bound on it; its rows are labelled MULT.
 
 Reports carry the per-n max ratio and the cross-n growth factor
 max_n(max ratio) / min_n(max ratio); empirical ceilings/floors on that
@@ -45,7 +48,6 @@ __all__ = [
     "gen_ensemble",
     "ratio_experiment",
     "sharpness_experiment",
-    "multiplication_experiment",
 ]
 
 INF = math.inf
@@ -118,7 +120,7 @@ THEOREMS = {
     "T3.2": TheoremSpec(
         "hard", "product", "random", _fio_slice_ok, "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
-    "T4.2a": TheoremSpec(  # multiplication bound; see multiplication_experiment
+    "T4.2a": TheoremSpec(  # pointwise-product bound; trial body in ratio_experiment
         "kernel", "kernel", "none", lambda c, d=1: len(c) == 2, "two-axis",
         lambda p: (2.0, p), (1, 2)),
     "T4.3a": _EASY_ZERO_MIXED,
@@ -220,8 +222,9 @@ class ExperimentConfig:
                         f"threshold {base[slot - 1]}; nothing to falsify"
                     )
             object.__setattr__(self, "raise_slots", slots)
-        elif self.raise_slots:
-            raise ConfigError("raise_slots only applies to SHARP-* experiments")
+        elif self.raise_slots or self.control_arm:
+            raise ConfigError(
+                "raise_slots and control_arm only apply to SHARP-* experiments")
 
     @property
     def base_theorem(self) -> str:
@@ -310,7 +313,6 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
     """Seeded random draws: symbols or phases of the requested kind.
 
     kinds: "gaussian-symbol" (i.i.d. complex Gaussian SymbolTable),
-    "tensor-symbol" (b1 (x) b2 with b2 constant 1),
     "quadratic-phase" (integer QuadraticPhase, mixed x-y block zeroed on
     request), "random-phase" (uniform PhaseTable in cycles).
     """
@@ -319,10 +321,6 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
     if kind == "gaussian-symbol":
         vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
         return SymbolTable(n, rank, vals)
-    if kind == "tensor-symbol":
-        b1 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        b2 = np.ones(n, dtype=np.complex128)
-        return SymbolTable(n, 3, b1[:, :, None] * b2[None, None, :]), b1, b2
     if kind == "quadratic-phase":
         q = rng.integers(-2, 3, size=rank)
         m = rng.integers(-2, 3, size=(rank, rank))
@@ -380,41 +378,52 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _run_trials(theorem, n_values, trials, seed, p, window_kind, trial,
-                extra) -> Report:
+def _run_trials(cfg: ExperimentConfig, label: str, exps: ExponentVector,
+                trial) -> Report:
     """The seeded loop every experiment runs: one window per n, one
     generator per (n, trial), and `trial(n, window, rng)` returning
     (schatten, mixednorm, metadata) for that draw."""
     records, per_n = [], {}
-    for n in n_values:
-        window = make_window(window_kind, n, seed)
-        for t in range(trials):
-            s, m, meta = trial(n, window, _trial_rng(seed, n, t))
+    for n in cfg.n_values:
+        window = make_window(cfg.window_kind, n, cfg.seed)
+        for t in range(cfg.trials):
+            s, m, meta = trial(n, window, _trial_rng(cfg.seed, n, t))
             ratio = 0.0 if s == 0.0 else s / m
-            records.append(TrialRecord(theorem, n, t, p, s, m, ratio, seed, meta))
+            records.append(TrialRecord(label, n, t, cfg.p, s, m, ratio, cfg.seed,
+                                       meta))
             per_n[n] = max(per_n.get(n, 0.0), ratio)
     positives = [v for v in per_n.values() if v > 0]
     growth = (max(positives) / min(positives)) if positives else 0.0
-    return Report(theorem, records, per_n, growth, extra)
+    return Report(label, records, per_n, growth, _config_extra(cfg, exps))
 
 
 def ratio_experiment(cfg: ExperimentConfig) -> Report:
-    """Schatten-vs-mixed-modulation-norm ratios for one theorem."""
+    """Schatten-vs-mixed-modulation-norm ratios for one theorem.
+
+    T4.2a compares instead the (2, p) norm of a pointwise product f g with
+    the bound ||f||_(2, p) ||g||_(inf, 1) and labels its rows MULT.
+    """
     if cfg.theorem_id in SHARPNESS:
         raise ConfigError("use sharpness_experiment for SHARP-* ids")
     exps = cfg.exponents()
-    if cfg.theorem_id == "T4.2a":
-        return multiplication_experiment(cfg.n_values, cfg.seed, cfg.permutation,
-                                         exps, cfg.trials, cfg.window_kind)
     spec = THEOREMS[cfg.theorem_id]
 
     def trial(n, window, rng):
+        if cfg.theorem_id == "T4.2a":
+            f = random_signal(n, 1, rng)
+            g = random_signal(n, 1, rng)
+            prod = FiniteSignal(n, 1, f.values * g.values)
+            return (mixed_modulation_norm(prod, window, cfg.permutation, exps),
+                    mixed_modulation_norm(f, window, cfg.permutation, exps)
+                    * mixed_modulation_norm(g, window, Permutation.identity(2),
+                                            ExponentVector((INF, 1.0))),
+                    {})
         op, obj, meta = _build_trial(spec, n, rng)
         return (schatten_norm(op, cfg.p),
                 mixed_modulation_norm(obj, window, cfg.permutation, exps), meta)
 
-    return _run_trials(cfg.theorem_id, cfg.n_values, cfg.trials, cfg.seed, cfg.p,
-                       cfg.window_kind, trial, _config_extra(cfg, exps))
+    label = "MULT" if cfg.theorem_id == "T4.2a" else cfg.theorem_id
+    return _run_trials(cfg, label, exps, trial)
 
 
 def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
@@ -452,56 +461,21 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
     arm = "control" if cfg.control_arm else "violated"
 
     def trial(n, window, rng):
+        ones = np.ones(n, dtype=np.complex128)
         if cfg.base_theorem == "T2.9":
-            ones = np.ones(n, dtype=np.complex128)
             op = OperatorMatrix(n, np.outer(ones, ones))
             factors = [(ones, (1,)), (ones, (2,))]
         else:
-            # Hard form with symbol b1(x, y) (x) b2(xi) and zero phase.
-            b, b1, b2 = gen_ensemble("tensor-symbol", n, rng)
-            op = build_hard_fio(b, PhaseTable(n, 3, np.zeros((n, n, n))))
-            factors = [(b1, (1, 2)), (b2, (3,))]
+            # Hard form with symbol b1(x, y) (x) 1(xi) and zero phase: summing
+            # out xi leaves the kernel sqrt(n) * b1.
+            b1 = gen_ensemble("gaussian-symbol", n, rng, rank=2).values
+            op = OperatorMatrix(n, np.sqrt(n) * b1)
+            factors = [(b1, (1, 2)), (ones, (3,))]
         return (schatten_norm(op, cfg.p),
                 tensor_mixed_norm(factors, window, cfg.permutation, exps),
                 {"arm": arm})
 
-    return _run_trials(cfg.theorem_id, cfg.n_values, cfg.trials, cfg.seed, cfg.p,
-                       cfg.window_kind, trial, _config_extra(cfg, exps))
-
-
-def multiplication_experiment(n_values, seed: int, c: Permutation,
-                              exps: ExponentVector, trials: int,
-                              window_kind: str = "gaussian-sampled") -> Report:
-    """Ratios for the pointwise-product bound against an (inf, 1)-type factor."""
-    if isinstance(n_values, int):
-        n_values = (n_values,)
-    exps = exps if isinstance(exps, ExponentVector) else ExponentVector(tuple(exps))
-    if len(c) != 2 or len(exps) != 2:
-        raise ConfigError("multiplication experiment runs on d = 1 (two axes)")
-    if exps.exps[0] != 2.0:
-        raise ConfigError("exponents must follow the (2, p) pattern")
-    id2 = Permutation.identity(2)
-    winf1 = ExponentVector((INF, 1.0))
-
-    def trial(n, window, rng):
-        f = random_signal(n, 1, rng)
-        g = random_signal(n, 1, rng)
-        prod = FiniteSignal(n, 1, f.values * g.values)
-        num = mixed_modulation_norm(prod, window, c, exps)
-        den = (mixed_modulation_norm(f, window, c, exps)
-               * mixed_modulation_norm(g, window, id2, winf1))
-        return num, den, {}
-
-    extra = {
-        "n_values": list(n_values),
-        "permutation": list(c.image),
-        "exponents": [str(e) for e in exps.exps],
-        "trials": trials,
-        "seed": seed,
-        "window": window_kind,
-    }
-    return _run_trials("MULT", n_values, trials, seed, exps.exps[1], window_kind,
-                       trial, extra)
+    return _run_trials(cfg, cfg.theorem_id, exps, trial)
 
 
 def _config_extra(cfg: ExperimentConfig, exps: ExponentVector) -> dict:

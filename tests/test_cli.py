@@ -144,6 +144,20 @@ def test_multbound_subcommand(capsys):
     assert out.startswith("theorem,n,trial")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "8", "--trials", "0"],
+    ["--n", "1"],
+    ["--n", "8", "--exps", "2,3"],
+    ["--n", "8", "--exps", "1.5,1.5"],
+], ids=["trials-0", "n-1", "exps-2,3", "exps-1.5,1.5"])
+def test_multbound_rejects(tmp_path, capsys, flags):
+    out = tmp_path / "mult.csv"
+    assert run_cli(["multbound", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_memory_error_exits_one(monkeypatch, capsys):
     def oversized(cfg):
         raise MemoryError

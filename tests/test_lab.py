@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborlab.fio import build_hard_fio
 from gaborlab.lab import (
     SHARPNESS_IDS,
     THEOREM_IDS,
@@ -12,13 +13,12 @@ from gaborlab.lab import (
     ExperimentConfig,
     gen_ensemble,
     make_window,
-    multiplication_experiment,
     ratio_experiment,
     sharpness_experiment,
     tensor_mixed_norm,
 )
 from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
-from gaborlab.operators import QuadraticPhase, SymbolTable
+from gaborlab.operators import PhaseTable, QuadraticPhase, SymbolTable
 
 
 class TestConfig:
@@ -55,6 +55,11 @@ class TestConfig:
             ExperimentConfig(theorem_id="T3.1", n_values=(8,),
                              raise_slots={1: math.inf})
 
+    def test_control_arm_only_for_sharp_ids(self):
+        with pytest.raises(ConfigError, match="control_arm"):
+            ExperimentConfig(theorem_id="T3.1", n_values=(8,), control_arm=True)
+        ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(8,), control_arm=True)
+
     def test_default_windows(self):
         assert ExperimentConfig(theorem_id="T3.1",
                                 n_values=(8,)).window_kind == "gaussian-sampled"
@@ -67,11 +72,6 @@ class TestEnsembles:
         a = gen_ensemble("gaussian-symbol", 8, 5, rank=2)
         b = gen_ensemble("gaussian-symbol", 8, 5, rank=2)
         assert np.array_equal(a.values, b.values)
-
-    def test_tensor_symbol_rank_one_along_xi(self):
-        sym, b1, b2 = gen_ensemble("tensor-symbol", 6, 1)
-        for x, y in np.ndindex(6, 6):
-            assert np.allclose(sym.values[x, y, :], b1[x, y] * b2)
 
     def test_quadratic_phase_well_defined(self):
         for seed in range(20):
@@ -164,6 +164,16 @@ class TestSharpnessExperiment:
                                    trials=1, seed=0)
             assert sharpness_experiment(cfg).all_finite()
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_hard_form_of_b1_times_one_is_sqrt_n_b1(self, n):
+        # SHARP-T4.3/T4.4 build their operator as sqrt(n) * b1 instead of
+        # the hard form of the materialised symbol b1 (x) 1 with zero phase.
+        b1 = gen_ensemble("gaussian-symbol", n, 2, rank=2).values
+        full = SymbolTable(n, 3, b1[:, :, None] * np.ones(n)[None, None, :])
+        got = build_hard_fio(full, PhaseTable(n, 3, np.zeros((n, n, n)))).entries
+        want = np.sqrt(n) * b1
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestTensorMixedNorm:
     """The factored norm against the full norm of the materialised product."""
@@ -177,7 +187,8 @@ class TestTensorMixedNorm:
     @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
     def test_b1_times_one(self, theorem):
         n = 6
-        _, b1, b2 = gen_ensemble("tensor-symbol", n, 3)
+        b1 = gen_ensemble("gaussian-symbol", n, 3, rank=2).values
+        b2 = np.ones(n, dtype=np.complex128)
         full = SymbolTable(n, 3, b1[:, :, None] * b2[None, None, :])
         window = make_window("gaussian-sampled", n)
         for cfg in self._arms(theorem, n, 1.5):
@@ -206,31 +217,20 @@ class TestTensorMixedNorm:
 
 
 class TestMultiplicationExperiment:
+    """T4.2a: the pointwise-product bound, run through ratio_experiment."""
+
     def test_runs_and_bounded(self):
-        rep = multiplication_experiment((8, 16), 3, Permutation((1, 2)),
-                                        ExponentVector((2.0, 1.5)), 5)
+        cfg = ExperimentConfig(theorem_id="T4.2a", n_values=(8, 16), p=1.5,
+                               trials=5, seed=3)
+        rep = ratio_experiment(cfg)
         assert len(rep.records) == 10
         assert rep.all_finite()
-
-    def test_pattern_enforced(self):
-        with pytest.raises(ConfigError):
-            multiplication_experiment(8, 0, Permutation((1, 2)),
-                                      ExponentVector((1.5, 1.5)), 1)
+        assert {r.theorem for r in rep.records} == {"MULT"}
 
     def test_determinism(self):
-        args = ((8,), 5, Permutation((2, 1)), ExponentVector((2.0, 1.0)), 4)
-        assert (multiplication_experiment(*args).csv_body()
-                == multiplication_experiment(*args).csv_body())
-
-    def test_config_path_matches(self):
-        cfg = ExperimentConfig(theorem_id="T4.2a", n_values=(8, 12), p=1.25,
-                               trials=3, seed=4)
-        rep = ratio_experiment(cfg)
-        direct = multiplication_experiment((8, 12), 4, Permutation((1, 2)),
-                                           ExponentVector((2.0, 1.25)), 3)
-        assert rep.csv_body() == direct.csv_body()
-        assert rep.summary() == direct.summary()
-        assert rep.summary()["n_values"] == [8, 12]
+        cfg = ExperimentConfig(theorem_id="T4.2a", n_values=(8,), p=1.0,
+                               trials=4, seed=5, permutation=Permutation((2, 1)))
+        assert ratio_experiment(cfg).csv_body() == ratio_experiment(cfg).csv_body()
 
 
 class TestReport:
@@ -245,6 +245,6 @@ class TestReport:
     def test_summary_keys(self):
         cfg = ExperimentConfig(theorem_id="T3.1", n_values=(8,), trials=1)
         s = ratio_experiment(cfg).summary()
-        for key in ("theorem", "per_n_max_ratio", "growth_factor",
+        for key in ("theorem", "per_n_max_ratio", "growth_factor", "n_values",
                     "permutation", "exponents", "seed"):
             assert key in s
