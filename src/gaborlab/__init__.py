@@ -65,7 +65,6 @@ from .lab import (
     ratio_experiment,
     sharpness_experiment,
 )
-from .cli import main, run_cli
 
 __version__ = "0.1.0"
 
@@ -87,5 +86,4 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "Report", "TrialRecord",
     "gen_ensemble", "make_window", "ratio_experiment",
     "sharpness_experiment",
-    "main", "run_cli",
 ]

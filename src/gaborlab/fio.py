@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import GaborSystem, dual_window
+from .frames import GaborSystem, _coefficients, dual_window
 from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
 from .signals import FiniteSignal
 
@@ -106,7 +106,9 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
 
     Returns (weights, ops) where weights[i, j] = <1, M_l T_k g> over the
     lattice and ops[i, j] is the integral operator with the xi variable
-    paired against the shifted dual window.  The exact reconstruction
+    paired against the shifted dual window: the lattice coefficients in xi
+    of the constant 1, and of osc(x, y, .) against the dual over n^(1/2).
+    The exact reconstruction
       sum conj(weights[i, j]) * ops[i, j].entries == build_hard_fio(b, psi)
     holds whenever the system is a frame.
     """
@@ -114,18 +116,10 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
     if b.rank != 3 or b.n != sys.n:
         raise ValueError("slicing expects rank-3 tables on the system's Z_n")
     n = sys.n
-    gamma = dual_window(sys).values
-    ones = np.ones(n, dtype=np.complex128)
+    weights = _coefficients(sys, np.ones(n))
     osc = b.values * psi.unit_table()  # (x, y, xi)
-
-    weights = np.empty((len(sys.time_nodes), len(sys.freq_nodes)), dtype=np.complex128)
+    kernels = _coefficients(sys, osc, dual_window(sys)) / np.sqrt(n)  # (x, y, k, l)
     ops = np.empty(weights.shape, dtype=object)
-    t = np.arange(n)
-    for i, k in enumerate(sys.time_nodes):
-        for j, l in enumerate(sys.freq_nodes):
-            elem_g = np.exp(2j * np.pi * l * t / n) * np.roll(sys.window.values, k)
-            elem_gamma = np.exp(2j * np.pi * l * t / n) * np.roll(gamma, k)
-            weights[i, j] = ones @ elem_g.conj()
-            kernel = (osc * elem_gamma.conj()[None, None, :]).sum(axis=2) / np.sqrt(n)
-            ops[i, j] = OperatorMatrix(n, kernel)
+    for idx in np.ndindex(weights.shape):
+        ops[idx] = OperatorMatrix(n, kernels[(...,) + idx])
     return weights, ops

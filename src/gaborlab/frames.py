@@ -1,8 +1,9 @@
 """Gabor systems on separable lattices aZ_n x bZ_n (d = 1).
 
-Frame operator, frame bounds, dual and canonical tight windows,
-analysis/synthesis maps and the lattice-vs-full-lattice norm
-equivalence check.
+Frame operator (Walnut's closed form), frame bounds, dual and canonical
+tight windows, analysis/synthesis and the lattice-vs-full-lattice norm
+equivalence check.  Every lattice coefficient comes from one map: shifted
+windows, a fold of the time axis with period n/b, one length-n/b FFT.
 """
 
 from __future__ import annotations
@@ -60,29 +61,32 @@ class GaborSystem:
     def time_nodes(self) -> np.ndarray:
         return np.arange(0, self.n, self.a)
 
-    @property
-    def freq_nodes(self) -> np.ndarray:
-        return np.arange(0, self.n, self.b)
-
     def with_window(self, window: FiniteSignal) -> "GaborSystem":
         return GaborSystem(window, self.a, self.b)
 
 
-def _element_rows(sys: GaborSystem, window: FiniteSignal = None) -> np.ndarray:
-    """Rows M_l T_k g over the lattice, ordered (time-major, then frequency)."""
+def _shift_table(sys: GaborSystem, window: FiniteSignal = None) -> np.ndarray:
+    """Conjugated shifted windows conj(g(t - k)), k in aZ_n, as an (n/a, n) table."""
     g = (window or sys.window).values
-    n = sys.n
-    t = np.arange(n)
-    shifts = np.stack([np.roll(g, k) for k in sys.time_nodes])  # (n/a, n)
-    mods = np.exp(2j * np.pi * np.outer(sys.freq_nodes, t) / n)  # (n/b, n)
-    rows = shifts[:, None, :] * mods[None, :, :]
-    return rows.reshape(-1, n)
+    return g[(np.arange(sys.n) - sys.time_nodes[:, None]) % sys.n].conj()
+
+
+def _coefficients(sys: GaborSystem, x, window: FiniteSignal = None) -> np.ndarray:
+    """<x, M_l T_k g> of an (..., n) array as (..., n/a, n/b): folding the
+    time axis with period n/b samples the frequencies at bZ_n."""
+    m = sys.n // sys.b
+    prod = np.asarray(x)[..., None, :] * _shift_table(sys, window)
+    return np.fft.fft(prod.reshape(prod.shape[:-1] + (sys.b, m)).sum(axis=-2), axis=-1)
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """S f = sum over the lattice of <f, M_l T_k g> M_l T_k g."""
-    rows = _element_rows(sys)
-    return OperatorMatrix(sys.n, rows.T @ rows.conj())
+    """S f = sum of <f, M_l T_k g> M_l T_k g, in Walnut's form S(t, t') =
+    (n/b) sum_k g(t - k) conj(g(t' - k)) if t = t' mod n/b, and 0 otherwise."""
+    n, m = sys.n, sys.n // sys.b
+    w = _shift_table(sys)
+    t = np.arange(n)
+    same_class = (t[:, None] - t[None, :]) % m == 0
+    return OperatorMatrix(n, np.where(same_class, m * (w.T.conj() @ w), 0.0))
 
 
 def frame_bounds(sys: GaborSystem) -> tuple:
@@ -92,14 +96,18 @@ def frame_bounds(sys: GaborSystem) -> tuple:
     return (max(a, 0.0), b)
 
 
-def _spectral_power(sys: GaborSystem, power: float) -> np.ndarray:
-    s = frame_operator(sys).entries
-    eigs, vecs = np.linalg.eigh(s)
-    if eigs[0] <= EIG_FLOOR * max(eigs[-1], 1.0):
+def _require_frame(sys: GaborSystem, lowest: float, highest: float) -> None:
+    """Raise NotAFrameError when the lowest eigenvalue of S is below the floor."""
+    if lowest <= EIG_FLOOR * max(highest, 1.0):
         raise NotAFrameError(
             f"Gabor system with a={sys.a}, b={sys.b} on Z_{sys.n} is not a frame "
-            f"(smallest eigenvalue {eigs[0]:.3e})"
+            f"(smallest eigenvalue {lowest:.3e})"
         )
+
+
+def _spectral_power(sys: GaborSystem, power: float) -> np.ndarray:
+    eigs, vecs = np.linalg.eigh(frame_operator(sys).entries)
+    _require_frame(sys, eigs[0], eigs[-1])
     return (vecs * eigs**power) @ vecs.conj().T
 
 
@@ -117,19 +125,19 @@ def analyze(sys: GaborSystem, f: FiniteSignal) -> np.ndarray:
     """Coefficients <f, M_l T_k g> as an (n/a, n/b) array (time axis first)."""
     if f.dim != 1 or f.n != sys.n:
         raise ValueError("signal must live on the system's Z_n")
-    rows = _element_rows(sys)
-    coeffs = rows.conj() @ f.values
-    return coeffs.reshape(len(sys.time_nodes), len(sys.freq_nodes))
+    return _coefficients(sys, f.values)
 
 
 def synthesize(sys: GaborSystem, coeffs: np.ndarray) -> FiniteSignal:
-    """Adjoint of analyze: sum of coeffs[k, l] * M_l T_k g."""
+    """Adjoint of analyze: sum of coeffs[k, l] * M_l T_k g, where the sum over
+    l is a length-n/b inverse FFT tiled b times."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    shape = (len(sys.time_nodes), len(sys.freq_nodes))
+    m = sys.n // sys.b
+    shape = (len(sys.time_nodes), m)
     if coeffs.shape != shape:
         raise ValueError(f"coefficient array must have shape {shape}")
-    rows = _element_rows(sys)
-    return FiniteSignal(sys.n, 1, rows.T @ coeffs.ravel())
+    tiled = np.tile(m * np.fft.ifft(coeffs, axis=-1), sys.b)
+    return FiniteSignal(sys.n, 1, (tiled * _shift_table(sys).conj()).sum(axis=0))
 
 
 def banach_frame_equivalence(sys: GaborSystem, c: Permutation, exps: ExponentVector,
@@ -140,7 +148,7 @@ def banach_frame_equivalence(sys: GaborSystem, c: Permutation, exps: ExponentVec
     lattice (a = b = 1) they coincide with STFT samples and every ratio
     is exactly 1.
     """
-    frame_bounds_check(sys)
+    _require_frame(sys, *frame_bounds(sys))
     ratios = []
     scale = sys.n ** (-0.5)
     for f in testset:
@@ -150,11 +158,3 @@ def banach_frame_equivalence(sys: GaborSystem, c: Permutation, exps: ExponentVec
     if not ratios:
         raise ValueError("testset must be nonempty")
     return (min(ratios), max(ratios))
-
-
-def frame_bounds_check(sys: GaborSystem) -> tuple:
-    """frame_bounds, raising NotAFrameError when the lower bound vanishes."""
-    a, b = frame_bounds(sys)
-    if a <= EIG_FLOOR * max(b, 1.0):
-        raise NotAFrameError(f"lower frame bound {a:.3e} vanishes")
-    return (a, b)

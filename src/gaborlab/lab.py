@@ -254,6 +254,10 @@ class TrialRecord:
 
 @dataclass
 class Report:
+    """Per-trial records of one experiment, written as CSV plus a summary.
+    In `MULT` rows (T4.2a) no Schatten norm is taken: `schatten` holds
+    ||fg||_(2,p) and `mixednorm` holds the bound ||f||_(2,p) ||g||_(inf,1)."""
+
     theorem: str
     records: list
     per_n_max: dict

@@ -1,8 +1,11 @@
 """CLI: subcommand plumbing, exit codes, serialized IO round-trips."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +169,20 @@ def test_memory_error_exits_one(monkeypatch, capsys):
     assert run_cli(["verify", "--theorem", "T3.1", "--n", "8"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_module_form_prints_one_error_line():
+    """`python -m gaborlab.cli` imports the package first; that import must
+    not already hold `gaborlab.cli`, or runpy warns on stderr."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaborlab.cli", "verify", "--theorem", "T9", "--n", "8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_readme_cli_examples_parse():

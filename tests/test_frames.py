@@ -1,8 +1,10 @@
-"""Gabor systems: bounds, duals, tight windows, norm equivalence."""
+"""Gabor systems: bounds, duals, tight windows, norm equivalence, and the
+lattice-coefficient map against a dense table of Gabor elements."""
 
 import numpy as np
 import pytest
 
+from gaborlab.fio import fio_slice_family
 from gaborlab.frames import (
     GaborSystem,
     NotAFrameError,
@@ -15,11 +17,31 @@ from gaborlab.frames import (
     synthesize,
 )
 from gaborlab.mixednorm import ExponentVector, Permutation
+from gaborlab.operators import PhaseTable, SymbolTable
 from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal
 
 
 def _rand(n, seed):
     return random_signal(n, 1, np.random.default_rng(seed))
+
+
+def element_rows(sys, window=None):
+    """Reference: rows M_l T_k g over the lattice (time-major, then frequency),
+    one dense (n^2 / ab) x n table."""
+    g = (window or sys.window).values
+    n = sys.n
+    t = np.arange(n)
+    shifts = np.stack([np.roll(g, k) for k in range(0, n, sys.a)])
+    mods = np.exp(2j * np.pi * np.outer(np.arange(0, n, sys.b), t) / n)
+    return (shifts[:, None, :] * mods[None, :, :]).reshape(-1, n)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+LATTICES = [(8, 1, 1), (8, 1, 8), (8, 8, 1), (6, 2, 3), (24, 3, 4), (32, 4, 4),
+            (60, 5, 6)]
 
 
 class TestFrameBounds:
@@ -69,6 +91,15 @@ class TestDualAndTight:
         tsys = GaborSystem(tight, 2, 2)
         assert np.allclose(dual_window(tsys).values, tight.values, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_dual_when_frame_operator_is_diagonal(self, n):
+        """a = n, b = 1 gives S = n diag |g|^2, so gamma = g / (n |g|^2);
+        at n = 16 the condition number of S is about 2e10."""
+        g = periodized_gaussian(n).values
+        gamma = dual_window(GaborSystem(FiniteSignal(n, 1, g), n, 1)).values
+        want = g / (n * np.abs(g) ** 2)
+        assert np.max(np.abs(gamma - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_frame_operator_diagonalized_by_dual(self):
         sys = GaborSystem(_rand(8, 3), 2, 4)
         s = frame_operator(sys).entries
@@ -115,3 +146,66 @@ class TestBanachFrameEquivalence:
         lo, hi = banach_frame_equivalence(sys, Permutation((1, 2)),
                                           ExponentVector((2.0, 2.0)), testset)
         assert 0 < lo <= hi < 10
+
+    def test_rejects_non_frame(self):
+        sys = GaborSystem(periodized_gaussian(8), 4, 4)
+        with pytest.raises(NotAFrameError):
+            banach_frame_equivalence(sys, Permutation((1, 2)),
+                                     ExponentVector((2.0, 2.0)), [_rand(8, 0)])
+
+
+def _system(n, a, b, window):
+    g = periodized_gaussian(n) if window == "gauss" else _rand(n, 10 * n + a + b)
+    return GaborSystem(g, a, b)
+
+
+@pytest.mark.parametrize("window", ["gauss", "random"])
+@pytest.mark.parametrize("n,a,b", LATTICES)
+class TestLatticeCoefficientOracle:
+    """Walnut frame operator, folded-FFT analysis and its adjoint agree with
+    the dense element rows to 1e-12 relative."""
+
+    @pytest.fixture
+    def sys(self, n, a, b, window):
+        return _system(n, a, b, window)
+
+    def test_frame_operator(self, sys):
+        rows = element_rows(sys)
+        assert _close(frame_operator(sys).entries, rows.T @ rows.conj())
+
+    def test_analyze(self, sys):
+        f = _rand(sys.n, 1)
+        want = (element_rows(sys).conj() @ f.values).reshape(sys.n // sys.a, -1)
+        assert _close(analyze(sys, f), want)
+
+    def test_synthesize(self, sys):
+        rng = np.random.default_rng(2)
+        shape = (sys.n // sys.a, sys.n // sys.b)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = element_rows(sys).T @ coeffs.ravel()
+        assert _close(synthesize(sys, coeffs).values, want)
+
+
+# The reference dual window solves S gamma = g with the dense S of the
+# element rows, whose rounding noise off Walnut's pattern the solve amplifies
+# by the condition number of S.  Critically sampled Gaussian systems (ab = n)
+# are left out: there that number reaches 7e4 at n = 8, a = 8, b = 1 and 2e10
+# at n = 16, a = 16, b = 1, and the dense-S dual is off by 1e-11 and 1e-6
+# (see test_dual_when_frame_operator_is_diagonal).
+@pytest.mark.parametrize("n,a,b,window", [
+    (n, a, b, w) for n, a, b in LATTICES for w in ("gauss", "random")
+    if not (w == "gauss" and a * b == n)])
+def test_fio_slices_match_element_rows(n, a, b, window):
+    sys = _system(n, a, b, window)
+    rng = np.random.default_rng(3)
+    shape = (n, n, n)
+    sym = SymbolTable(n, 3, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    psi = PhaseTable(n, 3, rng.random(shape))
+    weights, ops = fio_slice_family(sym, psi, sys)
+    rows = element_rows(sys)
+    assert _close(weights.ravel(), rows.conj().sum(axis=1))
+    gamma = np.linalg.solve(rows.T @ rows.conj(), sys.window.values)
+    osc = sym.values * psi.unit_table()
+    want = osc @ element_rows(sys, FiniteSignal(n, 1, gamma)).conj().T / np.sqrt(n)
+    for r, op in enumerate(ops.ravel()):
+        assert _close(op.entries, want[..., r]), r
