@@ -20,16 +20,17 @@ factor are configuration knobs, not fixed constants.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fio import build_easy_fio, build_hard_fio, quadratic_phase_table
 from .mixednorm import (
+    CLASSES,
     ExponentVector,
     Permutation,
-    _block,
-    classify_permutation,
     mixed_modulation_norm,
     satisfies_blocks,
 )
@@ -64,34 +65,24 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _classes(*names):
-    """perm_ok predicate: c lies in at least one of the named classes."""
-    wanted = frozenset(names)
-    return lambda c, d=1: bool(classify_permutation(c, d) & wanted)
+def _either(first, second):
+    return CLASSES[first][0], [CLASSES[first][1], CLASSES[second][1]]
 
 
-_slice_ok = _classes("first-slice", "second-slice")
-_fio_slice_ok = _classes("first-FIO-slice", "second-FIO-slice")
-_fio_symbol_ok = _classes("first-FIO-symbol", "second-FIO-symbol")
-
-
-def _relaxed_easy_ok(c, d=1):
-    # xi_y axes innermost, or y axes innermost.
-    inner = _block(1, d)
-    return (satisfies_blocks(c, [(_block(3 * d + 1, 4 * d), inner)])
-            or satisfies_blocks(c, [(_block(2 * d + 1, 3 * d), inner)]))
-
-
-def _relaxed_hard_ok(c, d=1):
-    base = [
-        (_block(5 * d + 1, 6 * d), _block(1, d)),
-        (_block(2 * d + 1, 3 * d), _block(5 * d + 1, 6 * d)),
-    ]
-    second = _block(d + 1, 2 * d)
-    return satisfies_blocks(c, base) and (
-        satisfies_blocks(c, [(_block(4 * d + 1, 5 * d), second)])
-        or satisfies_blocks(c, [(_block(3 * d + 1, 4 * d), second)])
-    )
+# Permutation families a theorem can require, as (rank, alternatives) in
+# the d = 1 notation of mixednorm.CLASSES: a permutation of length
+# rank * d is in the family when every condition of some alternative holds.
+FAMILIES = {
+    "slice": _either("first-slice", "second-slice"),
+    "FIO slice": _either("first-FIO-slice", "second-FIO-slice"),
+    "FIO symbol": _either("first-FIO-symbol", "second-FIO-symbol"),
+    "two-axis": (2, [[]]),
+    # Axis 4 or axis 3 contracted innermost.
+    "relaxed easy": (4, [[((4,), (1,))], [((3,), (1,))]]),
+    # Axis 6 innermost, axis 3 outermost, and axis 5 or axis 4 at level 2.
+    "relaxed hard": (6, [[((6,), (1,)), ((3,), (6,)), ((5,), (2,))],
+                         [((6,), (1,)), ((3,), (6,)), ((4,), (2,))]]),
+}
 
 
 @dataclass(frozen=True)
@@ -99,43 +90,41 @@ class TheoremSpec:
     form: str              # "kernel" | "easy" | "hard"
     norm_object: str       # "kernel" | "product" | "bare"
     phase: str             # "none" | "random" | "quadratic-zero-mixed" | "quadratic"
-    perm_ok: callable
-    perm_hint: str
+    family: str            # key of FAMILIES
     exps: callable         # p -> tuple
     default_perm: tuple
 
 
 # T4.3a and T4.4a state the same easy-form bound.
 _EASY_ZERO_MIXED = TheoremSpec(
-    "easy", "bare", "quadratic-zero-mixed", _slice_ok, "slice",
+    "easy", "bare", "quadratic-zero-mixed", "slice",
     lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4))
 
 THEOREMS = {
     "T2.9": TheoremSpec(
-        "kernel", "kernel", "none", _slice_ok, "slice",
+        "kernel", "kernel", "none", "slice",
         lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
     "T3.1": TheoremSpec(
-        "easy", "product", "random", _slice_ok, "slice",
+        "easy", "product", "random", "slice",
         lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
     "T3.2": TheoremSpec(
-        "hard", "product", "random", _fio_slice_ok, "FIO slice",
+        "hard", "product", "random", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
     "T4.2a": TheoremSpec(  # pointwise-product bound; trial body in ratio_experiment
-        "kernel", "kernel", "none", lambda c, d=1: len(c) == 2, "two-axis",
-        lambda p: (2.0, p), (1, 2)),
+        "kernel", "kernel", "none", "two-axis", lambda p: (2.0, p), (1, 2)),
     "T4.3a": _EASY_ZERO_MIXED,
     "T4.3b": TheoremSpec(
-        "hard", "bare", "quadratic-zero-mixed", _fio_slice_ok, "FIO slice",
+        "hard", "bare", "quadratic-zero-mixed", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
     "T4.4a": _EASY_ZERO_MIXED,
     "T4.4b": TheoremSpec(
-        "hard", "bare", "quadratic-zero-mixed", _fio_symbol_ok, "FIO symbol",
+        "hard", "bare", "quadratic-zero-mixed", "FIO symbol",
         lambda p: (INF, 2.0, 2.0, p, p, 1.0), (6, 1, 4, 2, 5, 3)),
     "T4.5a": TheoremSpec(
-        "easy", "bare", "quadratic", _relaxed_easy_ok, "relaxed easy",
+        "easy", "bare", "quadratic", "relaxed easy",
         lambda p: (2.0, p, p, p), (4, 1, 2, 3)),
     "T4.5b": TheoremSpec(
-        "hard", "bare", "quadratic", _relaxed_hard_ok, "relaxed hard",
+        "hard", "bare", "quadratic", "relaxed hard",
         lambda p: (INF, 2.0, p, p, p, 1.0), (6, 5, 1, 2, 4, 3)),
 }
 
@@ -157,6 +146,22 @@ WINDOW_KINDS = ("delta", "gaussian-sampled", "random")
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, value) -> int:
+    """operator.index(value); bools and non-integers raise ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     theorem_id: str
@@ -175,14 +180,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREMS and self.theorem_id not in SHARPNESS:
             raise ConfigError(f"unknown theorem id {self.theorem_id!r}")
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = tuple(_integer("n_values entry", n) for n in self.n_values)
         if not n_values or any(n < 2 for n in n_values):
             raise ConfigError("n_values must be a nonempty list of sizes >= 2")
         object.__setattr__(self, "n_values", n_values)
+        for name in ("p", "ratio_ceiling", "growth_floor"):
+            _check_real(name, getattr(self, name))
         if not (1.0 <= self.p <= 2.0):
             raise ConfigError(f"p must lie in [1, 2], got {self.p}")
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError("seed must be a 64-bit non-negative integer")
 
@@ -190,12 +199,14 @@ class ExperimentConfig:
         if spec.phase.startswith("quadratic") and any(n % 2 for n in n_values):
             raise ConfigError("chirped ensembles require even group sizes")
 
-        perm = self.permutation or Permutation(spec.default_perm)
-        if isinstance(perm, (tuple, list)):
-            perm = Permutation(tuple(perm))
-        if not spec.perm_ok(perm):
+        perm = self.permutation or spec.default_perm
+        if not isinstance(perm, Permutation):
+            perm = Permutation(tuple(_integer("permutation entry", a) for a in perm))
+        rank, alternatives = FAMILIES[spec.family]
+        if len(perm) != rank or not any(satisfies_blocks(perm, alt)
+                                        for alt in alternatives):
             raise ConfigError(
-                f"permutation {perm.image} is not a {spec.perm_hint} permutation, "
+                f"permutation {perm.image} is not a {spec.family} permutation, "
                 f"as required by {self.base_theorem}"
             )
         object.__setattr__(self, "permutation", perm)

@@ -5,10 +5,12 @@ norm obtained by contracting axis c(1) of the array innermost with l^{p_1},
 then axis c(2) with l^{p_2}, and so on; infinity entries contract with the
 max of absolute values.
 
-The slice / FIO-slice / FIO-symbol classifier uses the same convention:
-a permutation c belongs to a class when the induced level assignment
-(axis c(j) is contracted at level j) matches the class's block conditions.
-Concretely the block conditions are checked on the inverse image of c.
+The slice / FIO-slice / FIO-symbol classes are written once, at d = 1, as
+data: CLASSES maps each class to its rank and to (axes, levels) pairs, each
+saying that those axes are contracted at exactly those levels.  One rule
+lifts a pair to any d: axis or level s stands for the block
+(s - 1) d + 1, ..., s d.  A permutation of length rank * d belongs to a
+class when every lifted pair holds.
 """
 
 from __future__ import annotations
@@ -91,79 +93,50 @@ class ExponentVector:
         return cls(tuple(vals))
 
 
-def _block(lo: int, hi: int) -> frozenset:
-    """{lo, ..., hi} with 1-based inclusive bounds."""
-    return frozenset(range(lo, hi + 1))
+# Slice classes have rank 4: the time axes x, y of a kernel, then their
+# frequency axes.  FIO classes have rank 6: x, y, xi of a symbol, then theirs.
+CLASSES = {
+    "first-slice": (4, [((1, 3), (1, 2)), ((2, 4), (3, 4))]),
+    "second-slice": (4, [((2, 4), (1, 2)), ((1, 3), (3, 4))]),
+    "first-FIO-slice": (6, [((1, 4), (1, 2)), ((2, 5), (3, 4)), ((3,), (5,)), ((6,), (6,))]),
+    "second-FIO-slice": (6, [((2, 5), (1, 2)), ((1, 4), (3, 4)), ((3,), (5,)), ((6,), (6,))]),
+    "first-FIO-symbol": (6, [((6,), (1,)), ((1, 4), (2, 3)), ((2, 5), (4, 5)), ((3,), (6,))]),
+    "second-FIO-symbol": (6, [((6,), (1,)), ((2, 5), (2, 3)), ((1, 4), (4, 5)), ((3,), (6,))]),
+}
 
 
-def _slice_conditions(d: int) -> dict:
-    """Block-mapping conditions per class, as (domain, range) pairs.
+def satisfies_blocks(c: Permutation, conditions, d: int = 1) -> bool:
+    """True when every d = 1 (axes, levels) pair in `conditions`, lifted to d,
+    holds for c; len(c) must be the conditions' rank times d."""
+    def lift(blocks):
+        return frozenset(i for s in blocks for i in range((s - 1) * d + 1, s * d + 1))
 
-    Conditions constrain where each axis group lands in the contraction
-    order: (domain, range) requires that the axes in `domain` occupy
-    exactly the levels in `range`.
-    """
-    return {
-        "first-slice": [
-            (_block(1, d) | _block(2 * d + 1, 3 * d), _block(1, 2 * d)),
-            (_block(d + 1, 2 * d) | _block(3 * d + 1, 4 * d), _block(2 * d + 1, 4 * d)),
-        ],
-        "second-slice": [
-            (_block(d + 1, 2 * d) | _block(3 * d + 1, 4 * d), _block(1, 2 * d)),
-            (_block(1, d) | _block(2 * d + 1, 3 * d), _block(2 * d + 1, 4 * d)),
-        ],
-    }
-
-
-def _fio_conditions(d: int) -> dict:
-    return {
-        "first-FIO-slice": [
-            (_block(1, d) | _block(3 * d + 1, 4 * d), _block(1, 2 * d)),
-            (_block(d + 1, 2 * d) | _block(4 * d + 1, 5 * d), _block(2 * d + 1, 4 * d)),
-            (_block(2 * d + 1, 3 * d), _block(4 * d + 1, 5 * d)),
-            (_block(5 * d + 1, 6 * d), _block(5 * d + 1, 6 * d)),
-        ],
-        "second-FIO-slice": [
-            (_block(d + 1, 2 * d) | _block(4 * d + 1, 5 * d), _block(1, 2 * d)),
-            (_block(1, d) | _block(3 * d + 1, 4 * d), _block(2 * d + 1, 4 * d)),
-            (_block(2 * d + 1, 3 * d), _block(4 * d + 1, 5 * d)),
-            (_block(5 * d + 1, 6 * d), _block(5 * d + 1, 6 * d)),
-        ],
-        "first-FIO-symbol": [
-            (_block(5 * d + 1, 6 * d), _block(1, d)),
-            (_block(1, d) | _block(3 * d + 1, 4 * d), _block(d + 1, 3 * d)),
-            (_block(d + 1, 2 * d) | _block(4 * d + 1, 5 * d), _block(3 * d + 1, 5 * d)),
-            (_block(2 * d + 1, 3 * d), _block(5 * d + 1, 6 * d)),
-        ],
-        "second-FIO-symbol": [
-            (_block(5 * d + 1, 6 * d), _block(1, d)),
-            (_block(d + 1, 2 * d) | _block(4 * d + 1, 5 * d), _block(d + 1, 3 * d)),
-            (_block(1, d) | _block(3 * d + 1, 4 * d), _block(3 * d + 1, 5 * d)),
-            (_block(2 * d + 1, 3 * d), _block(5 * d + 1, 6 * d)),
-        ],
-    }
-
-
-def levels_of_axes(c: Permutation) -> dict:
-    """Map axis s -> contraction level j (i.e. c(j) = s)."""
-    return {cj: j for j, cj in enumerate(c.image, start=1)}
-
-def satisfies_blocks(c: Permutation, conditions) -> bool:
-    """True when every (axes, levels) pair in `conditions` holds for c."""
-    lv = levels_of_axes(c)
-    return all(frozenset(lv[s] for s in axes) == levels for axes, levels in conditions)
+    level = {axis: j for j, axis in enumerate(c.image, start=1)}
+    return all(frozenset(level[i] for i in lift(axes)) == lift(levels)
+               for axes, levels in conditions)
 
 
 def classify_permutation(c: Permutation, d: int) -> set:
     """Classes among the slice / FIO taxonomies that c belongs to."""
     m = len(c)
-    if m == 4 * d:
-        table = _slice_conditions(d)
-    elif m == 6 * d:
-        table = _fio_conditions(d)
-    else:
+    if m not in (4 * d, 6 * d):
         raise ValueError(f"permutation length {m} is neither 4d nor 6d for d = {d}")
-    return {name for name, conds in table.items() if satisfies_blocks(c, conds)}
+    return {name for name, (rank, conds) in CLASSES.items()
+            if rank * d == m and satisfies_blocks(c, conds, d)}
+
+
+def lp_norm(a: np.ndarray, p: float):
+    """l^p norm over the last axis of a non-negative array.  A general p is
+    taken on the array scaled by its peak, so large entries cannot overflow."""
+    if p == INF:
+        return a.max(axis=-1, initial=0.0)
+    if p == 1.0:
+        return a.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    peak = a.max(axis=-1, initial=0.0)
+    safe = np.where(peak > 0, peak, 1.0)
+    return peak * ((a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
@@ -181,17 +154,7 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
     # turn comes.
     a = np.abs(np.transpose(a, axes=[cj - 1 for cj in reversed(c.image)]))
     for p in exps:
-        if p == INF:
-            a = a.max(axis=-1)
-        elif p == 1.0:
-            a = a.sum(axis=-1)
-        elif p == 2.0:
-            a = np.sqrt((a * a).sum(axis=-1))
-        else:
-            peak = a.max(axis=-1)
-            safe = np.where(peak > 0, peak, 1.0)
-            scaled = a / safe[..., None]
-            a = peak * (scaled**p).sum(axis=-1) ** (1.0 / p)
+        a = lp_norm(a, p)
     return float(a)
 
 

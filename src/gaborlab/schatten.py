@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .mixednorm import lp_norm
 from .operators import OperatorMatrix
 
 __all__ = ["SingularSpectrum", "singular_values", "schatten_norm", "pair_functional"]
@@ -31,24 +31,11 @@ def singular_values(a: OperatorMatrix) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(a.entries, compute_uv=False))
 
 
-def _lp(values: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(values.max(initial=0.0))
-    if p == 1.0:
-        return float(values.sum())
-    if p == 2.0:
-        return float(np.sqrt((values * values).sum()))
-    peak = float(values.max(initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    return peak * float(((values / peak) ** p).sum() ** (1.0 / p))
-
-
 def schatten_norm(a: OperatorMatrix, p: float) -> float:
     """l^p norm of the singular values; p = 2 is Frobenius, p = inf operator norm."""
     if not (p >= 1.0):
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    return _lp(singular_values(a).values, p)
+    return float(lp_norm(singular_values(a).values, p))
 
 
 def _check_orthonormal(vecs: np.ndarray, name: str) -> None:
@@ -72,4 +59,4 @@ def pair_functional(a: OperatorMatrix, fs, gs, p: float) -> float:
     _check_orthonormal(fs, "fs")
     _check_orthonormal(gs, "gs")
     inner = np.einsum("kx,xy,ky->k", gs.conj(), a.entries, fs)
-    return _lp(np.abs(inner), p)
+    return float(lp_norm(np.abs(inner), p))

@@ -1,6 +1,7 @@
 """CLI: subcommand plumbing, exit codes, serialized IO round-trips."""
 
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -115,6 +116,43 @@ def test_verify_row_count_and_determinism(tmp_path, capsys):
 def test_verify_bad_perm_exits_one(capsys):
     assert run_cli(["verify", "--theorem", "T3.1", "--n", "8",
                     "--perm", "1,2,3,4"]) == 1
+
+
+@pytest.mark.parametrize("theorem,perm", [("T4.5a", "1,2"), ("T4.5b", "1,2,3,4")])
+def test_verify_wrong_length_perm_exits_one(capsys, theorem, perm):
+    assert run_cli(["verify", "--theorem", theorem, "--n", "8", "--perm", perm]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"required by {theorem}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", 2.5),
+    ("trials", True),
+    ("seed", 1.5),
+    ("p", True),
+    ("n_values", [4.7]),
+    ("n_values", [8.0]),
+    ("ratio_ceiling", "x"),
+    ("ratio_ceiling", math.nan),
+    ("growth_floor", math.inf),
+    ("growth_floor", None),
+    ("permutation", [1.9, 3, 2, 4]),
+    ("permutation", "1324"),
+], ids=["trials-2.5", "trials-true", "seed-1.5", "p-true", "n-4.7", "n-8.0",
+        "ceiling-x", "ceiling-nan", "floor-inf", "floor-null", "perm-1.9",
+        "perm-string"])
+def test_verify_config_value_types(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.json"
+    fields = {"theorem_id": "T3.1", "n_values": [8], "trials": 2, "seed": 9}
+    fields[key] = value
+    dump_json(fields, cfg)
+    out = tmp_path / "r.csv"
+    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_config_file(tmp_path, capsys):

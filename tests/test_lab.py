@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, reports, sharpness arms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,41 @@ from gaborlab.lab import (
 )
 from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
 from gaborlab.operators import PhaseTable, QuadraticPhase, SymbolTable
+
+
+def _slice(image):
+    # x, xi_x (axes 1, 3) on levels 1-2 and y, xi_y (2, 4) on 3-4, or swapped.
+    return len(image) == 4 and set(image[:2]) in ({1, 3}, {2, 4})
+
+
+def _fio_slice(image):
+    # {x, zeta_x} = {1, 4} and {y, zeta_y} = {2, 5} on levels 1-2 and 3-4 in
+    # either order, then xi (3) at level 5 and zeta_xi (6) at level 6.
+    return (len(image) == 6 and set(image[:2]) in ({1, 4}, {2, 5})
+            and image[4:] == (3, 6))
+
+
+def _fio_symbol(image):
+    # zeta_xi innermost, {1, 4} and {2, 5} on levels 2-3 and 4-5, xi last.
+    return (len(image) == 6 and image[0] == 6 and image[5] == 3
+            and set(image[1:3]) in ({1, 4}, {2, 5}))
+
+
+# Which permutations each theorem accepts, read off positions: image[j - 1]
+# is the axis contracted at level j.
+PERMUTATION_ORACLE = {
+    "T2.9": _slice,
+    "T3.1": _slice,
+    "T3.2": _fio_slice,
+    "T4.2a": lambda image: len(image) == 2,
+    "T4.3a": _slice,
+    "T4.3b": _fio_slice,
+    "T4.4a": _slice,
+    "T4.4b": _fio_symbol,
+    "T4.5a": lambda image: len(image) == 4 and image[0] in (3, 4),
+    "T4.5b": lambda image: (len(image) == 6 and image[0] == 6 and image[5] == 3
+                            and image[1] in (4, 5)),
+}
 
 
 class TestConfig:
@@ -41,6 +77,30 @@ class TestConfig:
                              permutation=Permutation((1, 2, 3, 4)))
         ExperimentConfig(theorem_id="T3.1", n_values=(8,),
                          permutation=Permutation((1, 3, 2, 4)))
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_permutation_families_match_oracle(self, theorem):
+        accepted = 0
+        for m in (2, 4, 6):
+            for image in itertools.permutations(range(1, m + 1)):
+                try:
+                    ExperimentConfig(theorem, (8,), permutation=Permutation(image))
+                    ok = True
+                except ConfigError:
+                    ok = False
+                assert ok == PERMUTATION_ORACLE[theorem](image), image
+                accepted += ok
+        assert accepted > 0
+
+    @pytest.mark.parametrize("theorem,image", [
+        ("T4.5a", (3, 1, 2, 4, 5, 6)),
+        ("T4.5a", (1, 2)),
+        ("T4.5b", (1, 2, 3, 4)),
+        ("T2.9", (1, 2)),
+    ], ids=["T4.5a-len6", "T4.5a-len2", "T4.5b-len4", "T2.9-len2"])
+    def test_wrong_length_permutation_rejected(self, theorem, image):
+        with pytest.raises(ConfigError, match="permutation"):
+            ExperimentConfig(theorem, (8,), permutation=image)
 
     def test_fio_slice_perm_for_t32(self):
         cfg = ExperimentConfig(theorem_id="T3.2", n_values=(8,),

@@ -114,12 +114,36 @@ class TestExponentVector:
             ExponentVector((0.5, 2.0))
 
 
+def classifier_images(m, d):
+    """All of S_m at d = 1.  At d = 2: the lifts of S_(m/2) (level block j
+    holds axis block c(j)), the same lifts with axes and levels shuffled
+    inside their blocks, and seeded random permutations of length m."""
+    base = list(itertools.permutations(range(1, m // d + 1)))
+    if d == 1:
+        return base
+    rng = np.random.default_rng(m)
+    images = []
+    for image in base:
+        lifted = [(s - 1) * d + k for s in image for k in range(1, d + 1)]
+        images.append(tuple(lifted))
+        # Relabel each axis within its block, then reorder each level block.
+        relabel = np.concatenate([rng.permutation(d) + s * d for s in range(m // d)])
+        relabelled = [relabel[a - 1] + 1 for a in lifted]
+        blocks = [relabelled[j:j + d] for j in range(0, m, d)]
+        images.append(tuple(int(a) for b in blocks for a in rng.permutation(b)))
+    images += [tuple(int(a) for a in rng.permutation(m) + 1) for _ in range(2000)]
+    return images
+
+
 class TestClassification:
-    @pytest.mark.parametrize("m,d", [(4, 1), (6, 1)])
+    @pytest.mark.parametrize("m,d", [(4, 1), (6, 1), (8, 2), (12, 2)])
     def test_matches_exhaustive_oracle(self, m, d):
-        for image in itertools.permutations(range(1, m + 1)):
+        found = set()
+        for image in classifier_images(m, d):
             got = classify_permutation(Permutation(image), d)
             assert got == classify_oracle(image, d), image
+            found |= got
+        assert len(found) == (2 if m == 4 * d else 4)
 
     def test_class_counts_s4(self):
         counts = {"first-slice": 0, "second-slice": 0}
