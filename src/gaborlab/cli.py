@@ -8,16 +8,16 @@ schatten, verify, sharpness, multbound.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from .frames import GaborSystem, NotAFrameError, canonical_tight_window, \
     dual_window, frame_bounds
-from .lab import ConfigError, ExperimentConfig, ratio_experiment, \
-    sharpness_experiment, SHARPNESS_IDS
+from .lab import ConfigError, ExperimentConfig, WINDOW_KINDS, \
+    ratio_experiment, sharpness_experiment
 from .mixednorm import ExponentVector, Permutation, mixed_norm
 from .schatten import schatten_norm, singular_values
 from .serialize import array_from_dict, load_json, matrix_from_dict, \
@@ -110,64 +110,27 @@ def _cmd_schatten(args) -> int:
     return 0
 
 
-def _experiment_config(args, sharp: bool) -> ExperimentConfig:
-    fields = {}
-    if args.config:
-        fields.update(_load(args.config))
-    if args.theorem is not None:
-        fields["theorem_id"] = args.theorem
-    if args.n is not None:
-        fields["n_values"] = [int(tok) for tok in args.n.split(",")]
-    for name in ("p", "trials", "seed", "window"):
-        val = getattr(args, name)
-        if val is not None:
-            fields["window_kind" if name == "window" else name] = val
-    if args.perm is not None:
-        fields["permutation"] = Permutation.parse(args.perm)
-    if args.out is not None:
-        fields["output_path"] = args.out
-    if sharp:
-        if args.raise_slot:
-            slots = {}
-            for tok in args.raise_slot:
-                slot, _, q = tok.partition("=")
-                slots[int(slot)] = math.inf if q.strip().lower() == "inf" else float(q)
-            fields["raise_slots"] = slots
-        if args.control:
-            fields["control_arm"] = True
-    if "theorem_id" not in fields:
-        raise ConfigError("--theorem (or a config file) is required")
-    if "n_values" not in fields:
-        raise ConfigError("--n (or a config file) is required")
+def _cmd_experiment(args) -> int:
+    # The config file's fields, overlaid by every experiment flag given.
+    fields = _load(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(fields, dict):
+        raise ConfigError(f"{args.config} must hold a JSON object")
+    fields.update((name, value) for name, value in vars(args).items()
+                  if name in _CONFIG_FIELDS and value is not None)
     try:
-        return ExperimentConfig(**fields)
+        cfg = ExperimentConfig(**fields)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _finish_experiment(report, output_path) -> int:
+    report = args.experiment(cfg)
     if not report.all_finite():
         print("error: non-finite values in trial records", file=sys.stderr)
         return 2
-    if output_path:
-        report.write_csv(output_path)
+    if cfg.output_path:
+        report.write_csv(cfg.output_path)
     else:
         sys.stdout.write(report.csv_body())
     print(json.dumps(report.summary(), sort_keys=True))
     return 0
-
-
-def _cmd_verify(args) -> int:
-    cfg = _experiment_config(args, sharp=False)
-    if cfg.theorem_id in SHARPNESS_IDS:
-        raise ConfigError("use the sharpness subcommand for SHARP-* ids")
-    return _finish_experiment(ratio_experiment(cfg), cfg.output_path)
-
-
-def _cmd_sharpness(args) -> int:
-    cfg = _experiment_config(args, sharp=True)
-    report = sharpness_experiment(cfg)
-    return _finish_experiment(report, cfg.output_path)
 
 
 def _cmd_multbound(args) -> int:
@@ -175,7 +138,7 @@ def _cmd_multbound(args) -> int:
     if len(exps) != 2 or exps[0] != 2.0:
         raise ConfigError(f"--exps must follow the (2, q) pattern, got {args.exps}")
     args.p = exps[1]
-    return _cmd_verify(args)
+    return _cmd_experiment(args)
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +154,56 @@ def _add_lattice_flags(sp):
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
 
 
-def _add_experiment_flags(sp, sharp: bool):
-    sp.add_argument("--theorem", default=None, help="theorem id, e.g. T3.2")
-    sp.add_argument("--n", default=None, help="comma-separated group sizes")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--perm", default=None, help="permutation image, e.g. 2,5,1,4,3,6")
-    sp.add_argument("--window", default=None,
-                    choices=["delta", "gaussian-sampled", "random"])
-    sp.add_argument("--config", default=None, help="JSON config file")
-    sp.add_argument("--out", default=None, help="CSV output path")
-    if sharp:
-        sp.add_argument("--raise", dest="raise_slot", action="append",
-                        default=None, metavar="SLOT=EXP",
-                        help="raise exponent slot, e.g. --raise 5=inf")
-        sp.add_argument("--control", action="store_true",
-                        help="run the compliant-exponent control arm")
+def _typed(convert):
+    """argparse type= for `convert` that keeps its ValueError message."""
+    def typed(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    return typed
+
+
+class _RaiseSlot(argparse.Action):
+    """Gathers --raise SLOT=EXP into a raise_slots mapping, as in a config file."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        if "=" not in text:
+            raise argparse.ArgumentError(self, f"expected SLOT=EXP, got {text!r}")
+        slot, _, exp = text.partition("=")
+        setattr(namespace, self.dest, {**(getattr(namespace, self.dest) or {}), slot: exp})
+
+
+# Experiment flags.  Each dest is the ExperimentConfig field the flag sets;
+# a flag left at its default None is not given and does not override.
+# sharpness takes every flag, verify all but the last two.
+_EXPERIMENT_FLAGS = {
+    "--theorem": dict(dest="theorem_id", metavar="THEOREM", help="theorem id, e.g. T3.2"),
+    "--n": dict(dest="n_values", metavar="N", help="comma-separated group sizes",
+                type=_typed(lambda text: [int(tok) for tok in text.split(",")])),
+    "--p": dict(type=float), "--trials": dict(type=int), "--seed": dict(type=int),
+    "--perm": dict(dest="permutation", metavar="PERM", type=_typed(Permutation.parse),
+                   help="permutation image, e.g. 2,5,1,4,3,6"),
+    "--window": dict(dest="window_kind", choices=WINDOW_KINDS),
+    "--config": dict(help="JSON config file"),
+    "--out": dict(dest="output_path", metavar="OUT", help="CSV output path"),
+    "--raise": dict(dest="raise_slots", action=_RaiseSlot, metavar="SLOT=EXP",
+                    help="raise exponent slot, e.g. --raise 5=inf"),
+    "--control": dict(dest="control_arm", action="store_const", const=True,
+                      help="run the compliant-exponent control arm"),
+}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, reported like every other input error."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaborlab",
         description="Finite-model time-frequency analysis toolkit",
     )
@@ -246,38 +238,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_schatten)
 
-    sp = sub.add_parser("verify", help="ratio experiment for one theorem")
-    _add_experiment_flags(sp, sharp=False)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("sharpness", help="blow-up experiment for SHARP-* ids")
-    _add_experiment_flags(sp, sharp=True)
-    sp.set_defaults(func=_cmd_sharpness)
-
-    sp = sub.add_parser("multbound", help="pointwise multiplication bound")
-    sp.add_argument("--n", required=True, help="comma-separated group sizes")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--perm", default=None)
+    for name, experiment, flags, help_text in (
+        ("verify", ratio_experiment, list(_EXPERIMENT_FLAGS)[:-2],
+         "ratio experiment for one theorem"),
+        ("sharpness", sharpness_experiment, _EXPERIMENT_FLAGS,
+         "blow-up experiment for SHARP-* ids"),
+        ("multbound", ratio_experiment,
+         ("--n", "--seed", "--perm", "--trials", "--window", "--out"),
+         "pointwise multiplication bound"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_EXPERIMENT_FLAGS[flag])
+        sp.set_defaults(func=_cmd_experiment, experiment=experiment)
+    # multbound, built last, checks its own --exps and runs T4.2a.
     sp.add_argument("--exps", default="2,1.5", help="exponents 2,q")
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--window", default=None,
-                    choices=["delta", "gaussian-sampled", "random"])
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_multbound, theorem="T4.2a", config=None)
+    sp.set_defaults(func=_cmd_multbound, theorem_id="T4.2a", seed=0, trials=10)
 
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; map to the config-error code.
-        code = exc.code or 0
-        return 0 if code == 0 else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help; usage errors raise ConfigError
+        return exc.code
     except (ConfigError, NotAFrameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -156,10 +156,11 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
+def _real(name: str, value) -> float:
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty list of sizes >= 2")
         object.__setattr__(self, "n_values", n_values)
         for name in ("p", "ratio_ceiling", "growth_floor"):
-            _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (1.0 <= self.p <= 2.0):
             raise ConfigError(f"p must lie in [1, 2], got {self.p}")
         object.__setattr__(self, "trials", _integer("trials", self.trials))
@@ -200,8 +201,7 @@ class ExperimentConfig:
             raise ConfigError("chirped ensembles require even group sizes")
 
         perm = self.permutation or spec.default_perm
-        if not isinstance(perm, Permutation):
-            perm = Permutation(tuple(_integer("permutation entry", a) for a in perm))
+        perm = perm if isinstance(perm, Permutation) else Permutation(tuple(perm))
         rank, alternatives = FAMILIES[spec.family]
         if len(perm) != rank or not any(satisfies_blocks(perm, alt)
                                         for alt in alternatives):
@@ -218,13 +218,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown window kind {kind!r}")
         object.__setattr__(self, "window_kind", kind)
 
+        if not isinstance(self.control_arm, bool):
+            raise ConfigError(f"control_arm must be a bool, got {self.control_arm!r}")
         if self.theorem_id in SHARPNESS:
             slots = self.raise_slots
             if slots is None:
-                slots = dict(SHARPNESS[self.theorem_id][1])
-            slots = {int(k): float(v) for k, v in slots.items()}
-            base = spec.exps(self.p)
+                slots = SHARPNESS[self.theorem_id][1]
+            elif not isinstance(slots, dict):
+                raise ConfigError(f"raise_slots must be a mapping, got {slots!r}")
+            elif self.control_arm:
+                raise ConfigError("raise_slots and control_arm exclude each other")
+            base, checked = spec.exps(self.p), {}
             for slot, q in slots.items():
+                # JSON keys are text, and "inf" is an exponent only as text.
+                slot = _integer("raise_slots slot", int(slot) if str(slot).isdecimal() else slot)
+                try:
+                    (q,) = ExponentVector.parse(q) if isinstance(q, str) else ExponentVector((q,))
+                except ValueError:
+                    raise ConfigError(f"raise_slots exponent {q!r} is not a real number "
+                                      ">= 1 or 'inf'") from None
                 if not 1 <= slot <= len(base):
                     raise ConfigError(f"exponent slot {slot} out of range")
                 if not q > base[slot - 1]:
@@ -232,8 +244,9 @@ class ExperimentConfig:
                         f"slot {slot}: exponent {q} does not exceed the "
                         f"threshold {base[slot - 1]}; nothing to falsify"
                     )
-            object.__setattr__(self, "raise_slots", slots)
-        elif self.raise_slots or self.control_arm:
+                checked[slot] = q
+            object.__setattr__(self, "raise_slots", checked)
+        elif self.raise_slots is not None or self.control_arm:
             raise ConfigError(
                 "raise_slots and control_arm only apply to SHARP-* experiments")
 
@@ -419,7 +432,7 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
     the bound ||f||_(2, p) ||g||_(inf, 1) and labels its rows MULT.
     """
     if cfg.theorem_id in SHARPNESS:
-        raise ConfigError("use sharpness_experiment for SHARP-* ids")
+        raise ConfigError("use the sharpness subcommand for SHARP-* ids")
     exps = cfg.exponents()
     spec = THEOREMS[cfg.theorem_id]
 

@@ -16,6 +16,8 @@ class when every lifted pair holds.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -43,16 +45,14 @@ class Permutation:
     image: tuple
 
     def __post_init__(self):
-        img = tuple(int(i) for i in self.image)
-        if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(img)}: {img}")
-        object.__setattr__(self, "image", img)
+        img = self.image
+        if (any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in img)
+                or sorted(img) != list(range(1, len(img) + 1))):
+            raise ValueError(f"not a permutation of 1..{len(img)} in integers: {img!r}")
+        object.__setattr__(self, "image", tuple(map(operator.index, img)))
 
     def __len__(self) -> int:
         return len(self.image)
-
-    def __call__(self, j: int) -> int:
-        return self.image[j - 1]
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
@@ -71,15 +71,15 @@ class Permutation:
 
 @dataclass(frozen=True)
 class ExponentVector:
-    """Exponents in [1, inf], one per contraction level."""
+    """Exponents in [1, inf], one per contraction level; parse reads text."""
 
     exps: tuple
 
     def __post_init__(self):
-        exps = tuple(float(p) for p in self.exps)
-        if any(p < 1 or math.isnan(p) for p in exps):
-            raise ValueError("every exponent must be >= 1")
-        object.__setattr__(self, "exps", exps)
+        if any(isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1
+               for p in self.exps):
+            raise ValueError(f"every exponent must be a real number >= 1, got {self.exps!r}")
+        object.__setattr__(self, "exps", tuple(float(p) for p in self.exps))
 
     def __len__(self) -> int:
         return len(self.exps)

@@ -199,6 +199,87 @@ def test_multbound_rejects(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+USAGE_ERRORS = {
+    "subcommand": (["frobnicate"], "command"),
+    "window-bogus": (["verify", "--theorem", "T3.1", "--n", "8", "--window", "bogus"],
+                     "--window"),
+    "n-8,x": (["verify", "--theorem", "T3.1", "--n", "8,x"], "--n"),
+    "raise-5": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8", "--raise", "5"],
+                "--raise"),
+    "p-abc": (["verify", "--theorem", "T3.1", "--n", "8", "--p", "abc"], "--p"),
+    "no-theorem": (["verify", "--n", "8"], "theorem_id"),
+    "raise-and-control": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8",
+                           "--raise", "5=inf", "--control"], "control_arm"),
+}
+
+
+@pytest.mark.parametrize("argv,names", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_print_one_line(tmp_path, capsys, argv, names):
+    out = tmp_path / "r.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert names in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+SHARP_FIELDS = {"theorem_id": "SHARP-T4.3", "n_values": [8]}
+
+
+@pytest.mark.parametrize("command,payload,names", [
+    ("verify", [1, 2], "JSON object"),
+    ("verify", 3, "JSON object"),
+    ("sharpness", {**SHARP_FIELDS, "raise_slots": [5]}, "raise_slots"),
+    ("sharpness", {**SHARP_FIELDS, "control_arm": "no"}, "control_arm"),
+    ("sharpness", {**SHARP_FIELDS, "raise_slots": {"5": "inf"}, "control_arm": True},
+     "control_arm"),
+    ("sharpness", {**SHARP_FIELDS, "raise_slots": {"5": True}}, "raise_slots"),
+    ("sharpness", {**SHARP_FIELDS, "raise_slots": {"x": "inf"}}, "raise_slots"),
+], ids=["list", "number", "raise-list", "control-no", "raise-and-control", "raise-true",
+        "raise-slot-x"])
+def test_config_file_rejects(tmp_path, capsys, command, payload, names):
+    cfg = tmp_path / "exp.json"
+    dump_json(payload, cfg)
+    out = tmp_path / "r.csv"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert names in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def _summary_and_csv(tmp_path, capsys, name, argv):
+    out = tmp_path / f"{name}.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    return json.loads(capsys.readouterr().out), out.read_bytes()
+
+
+def test_config_file_and_flags_write_same_bytes(tmp_path, capsys):
+    """An integer p in a config file is stored as a float, as --p gives it."""
+    cfg = tmp_path / "exp.json"
+    dump_json({"theorem_id": "T3.1", "n_values": [8], "trials": 2, "p": 2}, cfg)
+    from_file = _summary_and_csv(tmp_path, capsys, "file", ["verify", "--config", str(cfg)])
+    from_flags = _summary_and_csv(tmp_path, capsys, "flags", [
+        "verify", "--theorem", "T3.1", "--n", "8", "--trials", "2", "--p", "2"])
+    assert from_file == from_flags
+    assert from_file[0]["p"] == 2.0 and b",2.0," in from_file[1]
+
+
+@pytest.mark.parametrize("raise_slots", [{"5": "inf"}, {"5": "INF", "1": 3}])
+def test_raise_slots_from_file_match_flags(tmp_path, capsys, raise_slots):
+    cfg = tmp_path / "exp.json"
+    dump_json({"theorem_id": "SHARP-T4.3", "n_values": [8, 16], "trials": 1, "p": 2.0,
+               "raise_slots": raise_slots}, cfg)
+    from_file = _summary_and_csv(tmp_path, capsys, "file", ["sharpness", "--config", str(cfg)])
+    flags = [f"{slot}={q}" for slot, q in raise_slots.items()]
+    from_flags = _summary_and_csv(tmp_path, capsys, "flags", [
+        "sharpness", "--theorem", "SHARP-T4.3", "--n", "8,16", "--trials", "1", "--p", "2",
+        *(arg for flag in flags for arg in ("--raise", flag))])
+    assert from_file == from_flags
+    exps = from_file[0]["exponents"]
+    assert exps[4] == "inf" and exps[0] == ("3.0" if "1" in raise_slots else "2.0")
+
+
 def test_memory_error_exits_one(monkeypatch, capsys):
     def oversized(cfg):
         raise MemoryError

@@ -115,6 +115,26 @@ class TestConfig:
             ExperimentConfig(theorem_id="T3.1", n_values=(8,),
                              raise_slots={1: math.inf})
 
+    def test_raise_slots_read_like_a_config_file(self):
+        cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(8,),
+                               raise_slots={"5": "inf", 1: 3})
+        assert cfg.raise_slots == {5: math.inf, 1: 3.0}
+
+    @pytest.mark.parametrize("fields", [
+        {"raise_slots": [5]},
+        {"raise_slots": {"5": "x"}},
+        {"raise_slots": {True: "inf"}},
+        {"control_arm": 1},
+    ], ids=["list", "exp-text", "slot-true", "control-1"])
+    def test_sharpness_fields_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(8,), **fields)
+
+    def test_reals_stored_as_floats(self):
+        cfg = ExperimentConfig(theorem_id="T3.1", n_values=(8,), p=2,
+                               ratio_ceiling=4, growth_floor=2)
+        assert all(type(v) is float for v in (cfg.p, cfg.ratio_ceiling, cfg.growth_floor))
+
     def test_control_arm_only_for_sharp_ids(self):
         with pytest.raises(ConfigError, match="control_arm"):
             ExperimentConfig(theorem_id="T3.1", n_values=(8,), control_arm=True)

@@ -104,6 +104,15 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
 
+    @pytest.mark.parametrize("image", [(1.9, 3, 2, 4), (1.0, 2), (True, 2), ("1", "2")],
+                             ids=["float-1.9", "float-1.0", "bool", "text"])
+    def test_rejects_non_integer_entries(self, image):
+        with pytest.raises(ValueError, match="permutation"):
+            Permutation(image)
+
+    def test_takes_numpy_integers(self):
+        assert Permutation((np.int64(2), np.int32(1))).image == (2, 1)
+
 
 class TestExponentVector:
     def test_parse_inf(self):
@@ -112,6 +121,16 @@ class TestExponentVector:
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
             ExponentVector((0.5, 2.0))
+
+    @pytest.mark.parametrize("exps", [("2", 2.0), (2.0, True), ("inf",), (None,), (math.nan,)],
+                             ids=["text", "bool", "text-inf", "none", "nan"])
+    def test_rejects_non_real_entries(self, exps):
+        with pytest.raises(ValueError, match="real number"):
+            ExponentVector(exps)
+
+    def test_takes_real_numbers(self):
+        got = ExponentVector((2, np.float64(1.5), np.int64(3), INF)).exps
+        assert got == (2.0, 1.5, 3.0, INF) and all(type(p) is float for p in got)
 
 
 def classifier_images(m, d):
@@ -245,3 +264,48 @@ class TestMixedModulationNorm:
         from gaborlab.signals import FiniteSignal
         v = stft(FiniteSignal(n, 1, ones), delta(n)).values
         assert np.allclose(np.abs(v), n ** -0.5)
+
+
+# Mixed-norm invariants over random small arrays, orders and exponents.
+EXPONENT = st.one_of(st.floats(1.0, 8.0), st.just(INF))
+ENTRY = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+@st.composite
+def norm_inputs(draw, min_rank=1):
+    rank = draw(st.integers(min_rank, 4))
+    shape = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    arr = np.array(draw(st.lists(ENTRY, min_size=math.prod(shape),
+                                 max_size=math.prod(shape)))).reshape(shape)
+    image = draw(st.permutations(range(1, rank + 1)))
+    exps = draw(st.lists(EXPONENT, min_size=rank, max_size=rank))
+    return arr, list(image), exps
+
+
+def _norm(arr, image, exps):
+    return mixed_norm(arr, Permutation(tuple(image)), ExponentVector(tuple(exps)))
+
+
+class TestMixedNormInvariants:
+    @given(norm_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lowering_an_exponent_never_decreases(self, inputs, data):
+        arr, image, exps = inputs
+        j = data.draw(st.integers(0, len(exps) - 1))
+        lowered = list(exps)
+        lowered[j] = data.draw(st.floats(1.0, min(exps[j], 8.0)))
+        assert _norm(arr, image, lowered) >= _norm(arr, image, exps) * (1 - 1e-12)
+
+    @given(norm_inputs(min_rank=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_minkowski_swap_never_decreases(self, inputs, data):
+        """Levels j, j + 1 with p_j <= p_(j+1): contracting the outer axis
+        first, with its larger exponent, gives a norm at least as large."""
+        arr, image, exps = inputs
+        j = data.draw(st.integers(0, len(exps) - 2))
+        exps[j], exps[j + 1] = sorted((exps[j], exps[j + 1]))
+        swapped_image, swapped_exps = list(image), list(exps)
+        swapped_image[j:j + 2] = image[j + 1], image[j]
+        swapped_exps[j:j + 2] = exps[j + 1], exps[j]
+        assert (_norm(arr, swapped_image, swapped_exps)
+                >= _norm(arr, image, exps) * (1 - 1e-12))
