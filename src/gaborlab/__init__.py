@@ -4,86 +4,22 @@ Signals on the cyclic group Z_n^d, short-time Fourier transforms, Gabor
 frames, mixed modulation norms, oscillatory-kernel operators, and Schatten
 p-norms, plus an experiment harness that measures Schatten-vs-mixed-norm
 ratios for a family of boundedness statements.
+
+Each module's `__all__` is its public API; the package re-exports their
+union.  `cli` is left out, so `python -m gaborlab.cli` does not find
+itself already imported.
 """
 
-from .signals import (
-    FiniteSignal,
-    TFArray,
-    constant,
-    delta,
-    dft,
-    idft,
-    periodized_gaussian,
-    random_signal,
-    stft,
-    tf_shift,
-    wiener_amalgam_norm,
-)
-from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
-from .mixednorm import (
-    ExponentVector,
-    Permutation,
-    classify_permutation,
-    mixed_modulation_norm,
-    mixed_norm,
-    tensor_window,
-)
-from .frames import (
-    GaborSystem,
-    NotAFrameError,
-    analyze,
-    banach_frame_equivalence,
-    canonical_tight_window,
-    dual_window,
-    frame_bounds,
-    frame_operator,
-    synthesize,
-)
-from .fio import (
-    apply_chirp,
-    build_easy_fio,
-    build_hard_fio,
-    dft_matrix,
-    easy_kernel,
-    fio_slice_family,
-    quadratic_phase_table,
-    taylor_split,
-)
-from .schatten import (
-    SingularSpectrum,
-    pair_functional,
-    schatten_norm,
-    singular_values,
-)
-from .lab import (
-    ConfigError,
-    ExperimentConfig,
-    Report,
-    TrialRecord,
-    gen_ensemble,
-    make_window,
-    ratio_experiment,
-    sharpness_experiment,
-)
+from . import fio, frames, lab, mixednorm, operators, schatten, signals
+from .signals import *
+from .operators import *
+from .mixednorm import *
+from .frames import *
+from .fio import *
+from .schatten import *
+from .lab import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FiniteSignal", "TFArray", "constant", "delta", "dft", "idft",
-    "periodized_gaussian", "random_signal", "stft", "tf_shift",
-    "wiener_amalgam_norm",
-    "OperatorMatrix", "PhaseTable", "QuadraticPhase", "SymbolTable",
-    "ExponentVector", "Permutation", "classify_permutation",
-    "mixed_modulation_norm", "mixed_norm", "tensor_window",
-    "GaborSystem", "NotAFrameError", "analyze", "banach_frame_equivalence",
-    "canonical_tight_window", "dual_window", "frame_bounds",
-    "frame_operator", "synthesize",
-    "apply_chirp", "build_easy_fio", "build_hard_fio", "dft_matrix",
-    "easy_kernel", "fio_slice_family", "quadratic_phase_table",
-    "taylor_split",
-    "SingularSpectrum", "pair_functional", "schatten_norm",
-    "singular_values",
-    "ConfigError", "ExperimentConfig", "Report", "TrialRecord",
-    "gen_ensemble", "make_window", "ratio_experiment",
-    "sharpness_experiment",
-]
+__all__ = [name for module in (signals, operators, mixednorm, frames, fio, schatten, lab)
+           for name in module.__all__]

@@ -12,16 +12,14 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .frames import GaborSystem, NotAFrameError, canonical_tight_window, \
     dual_window, frame_bounds
 from .lab import ConfigError, ExperimentConfig, WINDOW_KINDS, \
     ratio_experiment, sharpness_experiment
 from .mixednorm import ExponentVector, Permutation, mixed_norm
 from .schatten import schatten_norm, singular_values
-from .serialize import array_from_dict, load_json, matrix_from_dict, \
-    signal_from_dict, signal_to_dict, tfarray_to_dict
+from .serialize import array_from_dict, matrix_from_dict, signal_from_dict, \
+    signal_to_dict, tfarray_to_dict
 from .signals import stft
 
 __all__ = ["main", "run_cli"]
@@ -29,24 +27,22 @@ __all__ = ["main", "run_cli"]
 
 def _load(path):
     try:
-        return load_json(path)
+        with open(path) as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError("non-finite values in result") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _check_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(np.asarray(a, dtype=np.complex128))):
-            raise FloatingPointError("non-finite values in result")
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +53,7 @@ def _check_finite(*arrays) -> None:
 def _cmd_dgt(args) -> int:
     f = signal_from_dict(_load(args.input))
     g = signal_from_dict(_load(args.window))
-    spec = stft(f, g)
-    _check_finite(spec.values)
-    _emit(tfarray_to_dict(spec), args.out)
+    _emit(tfarray_to_dict(stft(f, g)), args.out)
     return 0
 
 
@@ -72,22 +66,17 @@ def _system(args) -> GaborSystem:
 
 def _cmd_framebounds(args) -> int:
     a, b = frame_bounds(_system(args))
-    _check_finite([a, b])
     _emit({"A": a, "B": b}, args.out)
     return 0
 
 
 def _cmd_dualwindow(args) -> int:
-    gamma = dual_window(_system(args))
-    _check_finite(gamma.values)
-    _emit(signal_to_dict(gamma), args.out)
+    _emit(signal_to_dict(dual_window(_system(args))), args.out)
     return 0
 
 
 def _cmd_tightwindow(args) -> int:
-    tight = canonical_tight_window(_system(args))
-    _check_finite(tight.values)
-    _emit(signal_to_dict(tight), args.out)
+    _emit(signal_to_dict(canonical_tight_window(_system(args))), args.out)
     return 0
 
 
@@ -95,7 +84,6 @@ def _cmd_mixednorm(args) -> int:
     arr = array_from_dict(_load(args.array))
     value = mixed_norm(arr, Permutation.parse(args.perm),
                        ExponentVector.parse(args.exps))
-    _check_finite([value])
     _emit({"mixed_norm": value}, args.out)
     return 0
 
@@ -105,7 +93,6 @@ def _cmd_schatten(args) -> int:
     out = {"p": args.p, "schatten_norm": schatten_norm(mat, args.p)}
     if args.spectrum:
         out["singular_values"] = list(singular_values(mat).values)
-    _check_finite([out["schatten_norm"]])
     _emit(out, args.out)
     return 0
 
@@ -253,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=_cmd_experiment, experiment=experiment)
     # multbound, built last, checks its own --exps and runs T4.2a.
     sp.add_argument("--exps", default="2,1.5", help="exponents 2,q")
-    sp.set_defaults(func=_cmd_multbound, theorem_id="T4.2a", seed=0, trials=10)
+    sp.set_defaults(func=_cmd_multbound, theorem_id="T4.2a")
 
     return parser
 

@@ -11,8 +11,8 @@ The n^(-1/2) on the xi-sum makes a separable rank-3 symbol with phase
 psi(x, y, xi) = phi(x, xi) - y xi / n collapse exactly to the easy form.
 
 Also here: chirp multipliers exp(pi i t.Mt / n), quadratic phase tables,
-their affine/quadratic Taylor split, and the lattice slicing family that
-decomposes a hard operator against a Gabor frame on the xi variable.
+and the lattice slicing family that decomposes a hard operator against a
+Gabor frame on the xi variable.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "build_hard_fio",
     "apply_chirp",
     "quadratic_phase_table",
-    "taylor_split",
     "fio_slice_family",
 ]
 
@@ -89,16 +88,6 @@ def quadratic_phase_table(qp: QuadraticPhase, rank: int, n: int) -> PhaseTable:
     quad = np.einsum("it,ij,jt->t", coords, qp.m.astype(np.float64), coords)
     vals = (qp.c0 + lin / n + quad / (2 * n)) % 1.0
     return PhaseTable(n, rank, vals.reshape((n,) * rank))
-
-
-def taylor_split(qp: QuadraticPhase) -> tuple:
-    """(affine part, pure quadratic part), summing back to qp exactly."""
-    zero_q = np.zeros_like(qp.q)
-    zero_m = np.zeros_like(qp.m)
-    return (
-        QuadraticPhase(qp.c0, qp.q, zero_m),
-        QuadraticPhase(0.0, zero_q, qp.m),
-    )
 
 
 def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple:

@@ -181,9 +181,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREMS and self.theorem_id not in SHARPNESS:
             raise ConfigError(f"unknown theorem id {self.theorem_id!r}")
+        if not isinstance(self.n_values, (list, tuple)):
+            raise ConfigError(f"n_values must be a list of sizes, got {self.n_values!r}")
         n_values = tuple(_integer("n_values entry", n) for n in self.n_values)
         if not n_values or any(n < 2 for n in n_values):
             raise ConfigError("n_values must be a nonempty list of sizes >= 2")
+        if len(set(n_values)) != len(n_values):
+            raise ConfigError(f"n_values repeats a size: {list(n_values)}")
         object.__setattr__(self, "n_values", n_values)
         for name in ("p", "ratio_ceiling", "growth_floor"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
@@ -200,7 +204,9 @@ class ExperimentConfig:
         if spec.phase.startswith("quadratic") and any(n % 2 for n in n_values):
             raise ConfigError("chirped ensembles require even group sizes")
 
-        perm = self.permutation or spec.default_perm
+        perm = spec.default_perm if self.permutation is None else self.permutation
+        if not isinstance(perm, (Permutation, list, tuple)):
+            raise ConfigError(f"permutation must be a list of integers, got {perm!r}")
         perm = perm if isinstance(perm, Permutation) else Permutation(tuple(perm))
         rank, alternatives = FAMILIES[spec.family]
         if len(perm) != rank or not any(satisfies_blocks(perm, alt)

@@ -54,12 +54,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.image)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for j, cj in enumerate(self.image, start=1):
-            inv[cj - 1] = j
-        return Permutation(tuple(inv))
-
     @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(tuple(range(1, m + 1)))

@@ -30,11 +30,6 @@ class OperatorMatrix:
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", ent)
 
-    def apply(self, f: FiniteSignal) -> FiniteSignal:
-        if f.dim != 1 or f.n != self.n:
-            raise ValueError("operator expects a signal on Z_n, d = 1")
-        return FiniteSignal(self.n, 1, self.entries @ f.values)
-
 
 def _check_table(n: int, rank: int, values, dtype) -> np.ndarray:
     if rank not in (2, 3):

@@ -7,8 +7,6 @@ may be omitted for real data, and nested lists may be given flat.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .operators import OperatorMatrix
@@ -20,20 +18,7 @@ __all__ = [
     "tfarray_to_dict",
     "array_from_dict",
     "matrix_from_dict",
-    "load_json",
-    "dump_json",
 ]
-
-
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
 
 
 def _complex_from(payload) -> np.ndarray:

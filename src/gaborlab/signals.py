@@ -1,8 +1,8 @@
 """Signals on the cyclic group Z_n^d.
 
 Provides the core objects (FiniteSignal, TFArray) and operations:
-time-frequency shifts, the unitary DFT, the normalized short-time
-Fourier transform and the discrete Wiener amalgam norm.
+time-frequency shifts, the unitary DFT and the normalized short-time
+Fourier transform.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -18,7 +18,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.fft
@@ -29,9 +28,7 @@ __all__ = [
     "tf_shift",
     "dft",
     "stft",
-    "wiener_amalgam_norm",
     "delta",
-    "constant",
     "periodized_gaussian",
     "random_signal",
 ]
@@ -101,22 +98,14 @@ def delta(n: int, dim: int = 1, at=0) -> FiniteSignal:
     return FiniteSignal(n, dim, vals)
 
 
-def constant(n: int, dim: int = 1, value: complex = 1.0) -> FiniteSignal:
-    return FiniteSignal(n, dim, np.full(n**dim, value, dtype=np.complex128))
-
-
-def periodized_gaussian(n: int, dim: int = 1) -> FiniteSignal:
+def periodized_gaussian(n: int) -> FiniteSignal:
     """Unit-norm periodization of exp(-pi t^2 / n), the standard window."""
     t = np.arange(n, dtype=float)
     g = np.zeros(n)
     for j in range(-4, 5):
         g += np.exp(-np.pi * (t + j * n) ** 2 / n)
     g /= np.linalg.norm(g)
-    if dim == 1:
-        return FiniteSignal(n, 1, g.astype(np.complex128))
-    grid = reduce(np.multiply.outer, [g] * dim)
-    grid /= np.linalg.norm(grid)
-    return FiniteSignal(n, dim, grid.astype(np.complex128))
+    return FiniteSignal(n, 1, g.astype(np.complex128))
 
 
 def random_signal(n: int, dim: int, rng: np.random.Generator) -> FiniteSignal:
@@ -150,12 +139,6 @@ def dft(f: FiniteSignal) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, out)
 
 
-def idft(f: FiniteSignal) -> FiniteSignal:
-    """Inverse of `dft`."""
-    out = scipy.fft.ifftn(f.grid) * f.n ** (f.dim / 2)
-    return FiniteSignal(f.n, f.dim, out)
-
-
 def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
     """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>.
 
@@ -186,12 +169,3 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
     spec = scipy.fft.fftn(h, axes=tuple(range(d, 2 * d)), overwrite_x=True)
     return TFArray(n, d, spec * n ** (-d / 2))
 
-
-def wiener_amalgam_norm(f: FiniteSignal, block_len: int) -> float:
-    """Sum over consecutive length-L blocks of the local sup of |f| (d = 1)."""
-    if f.dim != 1:
-        raise ValueError("wiener_amalgam_norm is defined for d = 1")
-    if block_len < 1 or f.n % block_len != 0:
-        raise ValueError("block_len must divide n")
-    blocks = np.abs(f.values).reshape(f.n // block_len, block_len)
-    return float(blocks.max(axis=1).sum())

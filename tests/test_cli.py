@@ -13,13 +13,18 @@ import pytest
 
 from gaborlab import cli
 from gaborlab.cli import build_parser, run_cli
-from gaborlab.serialize import (
-    dump_json,
-    load_json,
-    signal_from_dict,
-    signal_to_dict,
-)
+from gaborlab.serialize import signal_from_dict, signal_to_dict
 from gaborlab.signals import periodized_gaussian, random_signal
+
+
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def dump_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
 
 
 @pytest.fixture
@@ -90,6 +95,17 @@ def test_mixednorm_subcommand(tmp_path, capsys):
     assert out["mixed_norm"] > 0
 
 
+def test_non_finite_result_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    dump_json({"shape": [2, 2], "re": [1e200] * 4}, path)
+    out = tmp_path / "norm.json"
+    assert run_cli(["mixednorm", "--array", str(path), "--perm", "1,2",
+                    "--exps", "2,2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: non-finite values in result\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_schatten_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     m = rng.standard_normal((6, 6))
@@ -140,9 +156,13 @@ def test_verify_wrong_length_perm_exits_one(capsys, theorem, perm):
     ("growth_floor", None),
     ("permutation", [1.9, 3, 2, 4]),
     ("permutation", "1324"),
+    ("n_values", 5),
+    ("n_values", "8"),
+    ("permutation", 5),
+    ("permutation", "1,3,2,4"),
 ], ids=["trials-2.5", "trials-true", "seed-1.5", "p-true", "n-4.7", "n-8.0",
         "ceiling-x", "ceiling-nan", "floor-inf", "floor-null", "perm-1.9",
-        "perm-string"])
+        "perm-string", "n-5", "n-text", "perm-5", "perm-text"])
 def test_verify_config_value_types(tmp_path, capsys, key, value):
     cfg = tmp_path / "exp.json"
     fields = {"theorem_id": "T3.1", "n_values": [8], "trials": 2, "seed": 9}
@@ -152,6 +172,7 @@ def test_verify_config_value_types(tmp_path, capsys, key, value):
     assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert key in captured.err
     assert captured.out == "" and not out.exists()
 
 
@@ -204,6 +225,7 @@ USAGE_ERRORS = {
     "window-bogus": (["verify", "--theorem", "T3.1", "--n", "8", "--window", "bogus"],
                      "--window"),
     "n-8,x": (["verify", "--theorem", "T3.1", "--n", "8,x"], "--n"),
+    "n-8,8": (["verify", "--theorem", "T2.9", "--n", "8,8", "--trials", "2"], "n_values"),
     "raise-5": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8", "--raise", "5"],
                 "--raise"),
     "p-abc": (["verify", "--theorem", "T3.1", "--n", "8", "--p", "abc"], "--p"),

@@ -11,7 +11,6 @@ from gaborlab.fio import (
     easy_kernel,
     fio_slice_family,
     quadratic_phase_table,
-    taylor_split,
 )
 from gaborlab.frames import GaborSystem, canonical_tight_window
 from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
@@ -138,22 +137,6 @@ class TestQuadraticPhase:
             wv = np.array(w, dtype=float)
             want = (0.25 + qp.q @ wv / n + wv @ qp.m @ wv / (2 * n)) % 1.0
             assert np.isclose(table[w] % 1.0, want % 1.0, atol=1e-12)
-
-    def test_taylor_split_recombines(self):
-        qp = QuadraticPhase(0.5, np.array([1, 0, -1]),
-                            np.array([[2, 1, 0], [1, 0, 2], [0, 2, -2]]))
-        aff, quad = taylor_split(qp)
-        n = 8
-        total = quadratic_phase_table(qp, 3, n).values
-        parts = (quadratic_phase_table(aff, 3, n).values
-                 + quadratic_phase_table(quad, 3, n).values)
-        assert np.allclose(np.exp(2j * np.pi * total),
-                           np.exp(2j * np.pi * parts), atol=1e-12)
-
-    def test_affine_part_has_no_quadratic_term(self):
-        qp = QuadraticPhase(0.0, np.array([1]), np.array([[2]]))
-        aff, quad = taylor_split(qp)
-        assert not aff.m.any() and not quad.q.any() and quad.c0 == 0.0
 
     def test_modulation_absorption(self):
         """Affine phases leave the mixed modulation norm invariant."""

@@ -95,11 +95,6 @@ class TestPermutation:
         assert Permutation.parse("2,5,1,4,3,6").image == (2, 5, 1, 4, 3, 6)
         assert Permutation.identity(4).image == (1, 2, 3, 4)
 
-    def test_inverse(self):
-        c = Permutation((2, 5, 1, 4, 3, 6))
-        assert c.inverse().image == (3, 1, 5, 4, 2, 6)
-        assert c.inverse().inverse() == c
-
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
