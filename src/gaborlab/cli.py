@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .frames import GaborSystem, NotAFrameError, canonical_tight_window, \
@@ -90,7 +91,9 @@ def _cmd_mixednorm(args) -> int:
 
 def _cmd_schatten(args) -> int:
     mat = matrix_from_dict(_load(args.matrix))
-    out = {"p": args.p, "schatten_norm": schatten_norm(mat, args.p)}
+    # JSON has no infinity, so p = inf is echoed as text, as config files give it.
+    out = {"p": "inf" if math.isinf(args.p) else args.p,
+           "schatten_norm": schatten_norm(mat, args.p)}
     if args.spectrum:
         out["singular_values"] = list(singular_values(mat).values)
     _emit(out, args.out)

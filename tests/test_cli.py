@@ -96,11 +96,14 @@ def test_mixednorm_subcommand(tmp_path, capsys):
 
 
 def test_non_finite_result_exits_two(tmp_path, capsys):
+    # The l^1 norm of four entries of 1e308 is 4e308, past the largest double.
     path = tmp_path / "big.json"
-    dump_json({"shape": [2, 2], "re": [1e200] * 4}, path)
+    dump_json({"shape": [2, 2], "re": [1e308] * 4}, path)
     out = tmp_path / "norm.json"
-    assert run_cli(["mixednorm", "--array", str(path), "--perm", "1,2",
-                    "--exps", "2,2", "--out", str(out)]) == 2
+    with np.errstate(over="ignore"):
+        code = run_cli(["mixednorm", "--array", str(path), "--perm", "1,2",
+                        "--exps", "1,1", "--out", str(out)])
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.err == "error: non-finite values in result\n"
     assert captured.out == "" and not out.exists()
@@ -115,6 +118,13 @@ def test_schatten_subcommand(tmp_path, capsys):
                     "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["singular_values"]) == 6
+
+
+def test_schatten_p_inf_is_the_largest_singular_value(tmp_path, capsys):
+    path = tmp_path / "A.json"
+    dump_json({"n": 3, "re": [[3, 0, 0], [0, 2, 0], [0, 0, 1]]}, path)
+    assert run_cli(["schatten", "--matrix", str(path), "--p", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"p": "inf", "schatten_norm": 3.0}
 
 
 def test_verify_row_count_and_determinism(tmp_path, capsys):
