@@ -26,12 +26,19 @@ from .signals import stft
 __all__ = ["main", "run_cli"]
 
 
-def _load(path):
+def _read(path, convert=None):
+    """The JSON object in `path`, passed through `convert` if one is given."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    try:
+        return convert(payload) if convert else payload
+    except KeyError as exc:
+        raise ConfigError(f"{path} has no {exc} key") from None
 
 
 def _emit(obj, path=None):
@@ -46,72 +53,41 @@ def _emit(obj, path=None):
         print(text)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_dgt(args) -> int:
-    f = signal_from_dict(_load(args.input))
-    g = signal_from_dict(_load(args.window))
-    _emit(tfarray_to_dict(stft(f, g)), args.out)
-    return 0
+def _json_tool(compute):
+    """Handler that writes the object `compute(args)` returns as JSON."""
+    def handler(args) -> int:
+        _emit(compute(args), args.out)
+        return 0
+    return handler
 
 
 def _system(args) -> GaborSystem:
-    g = signal_from_dict(_load(args.window))
+    g = _read(args.window, signal_from_dict)
     if args.n is not None and args.n != g.n:
         raise ConfigError(f"--n {args.n} does not match window size {g.n}")
     return GaborSystem(g, args.a, args.b)
 
 
-def _cmd_framebounds(args) -> int:
-    a, b = frame_bounds(_system(args))
-    _emit({"A": a, "B": b}, args.out)
-    return 0
-
-
-def _cmd_dualwindow(args) -> int:
-    _emit(signal_to_dict(dual_window(_system(args))), args.out)
-    return 0
-
-
-def _cmd_tightwindow(args) -> int:
-    _emit(signal_to_dict(canonical_tight_window(_system(args))), args.out)
-    return 0
-
-
-def _cmd_mixednorm(args) -> int:
-    arr = array_from_dict(_load(args.array))
-    value = mixed_norm(arr, Permutation.parse(args.perm),
-                       ExponentVector.parse(args.exps))
-    _emit({"mixed_norm": value}, args.out)
-    return 0
-
-
-def _cmd_schatten(args) -> int:
-    mat = matrix_from_dict(_load(args.matrix))
+def _schatten(args) -> dict:
+    mat = _read(args.matrix, matrix_from_dict)
     # JSON has no infinity, so p = inf is echoed as text, as config files give it.
     out = {"p": "inf" if math.isinf(args.p) else args.p,
            "schatten_norm": schatten_norm(mat, args.p)}
     if args.spectrum:
         out["singular_values"] = list(singular_values(mat).values)
-    _emit(out, args.out)
-    return 0
+    return out
 
 
-def _cmd_experiment(args) -> int:
+def _experiment(args, experiment) -> int:
     # The config file's fields, overlaid by every experiment flag given.
-    fields = _load(args.config) if getattr(args, "config", None) else {}
-    if not isinstance(fields, dict):
-        raise ConfigError(f"{args.config} must hold a JSON object")
+    fields = _read(args.config) if getattr(args, "config", None) else {}
     fields.update((name, value) for name, value in vars(args).items()
                   if name in _CONFIG_FIELDS and value is not None)
     try:
         cfg = ExperimentConfig(**fields)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    report = args.experiment(cfg)
+    report = experiment(cfg)
     if not report.all_finite():
         print("error: non-finite values in trial records", file=sys.stderr)
         return 2
@@ -123,25 +99,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_multbound(args) -> int:
+def _multbound(args) -> int:
     exps = ExponentVector.parse(args.exps).exps
     if len(exps) != 2 or exps[0] != 2.0:
         raise ConfigError(f"--exps must follow the (2, q) pattern, got {args.exps}")
-    args.p = exps[1]
-    return _cmd_experiment(args)
+    args.theorem_id, args.p = "T4.2a", exps[1]
+    return _experiment(args, ratio_experiment)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_lattice_flags(sp):
-    sp.add_argument("--window", required=True, help="window signal JSON file")
-    sp.add_argument("--a", type=int, required=True, help="time step")
-    sp.add_argument("--b", type=int, required=True, help="frequency step")
-    sp.add_argument("--n", type=int, default=None, help="expected group size")
-    sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
 
 
 def _typed(convert):
@@ -184,6 +152,51 @@ _EXPERIMENT_FLAGS = {
 }
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
+_JSON_OUT = {"--out": dict(help="output JSON path (default stdout)")}
+_LATTICE_FLAGS = {
+    "--window": dict(required=True, help="window signal JSON file"),
+    "--a": dict(type=int, required=True, help="time step"),
+    "--b": dict(type=int, required=True, help="frequency step"),
+    "--n": dict(type=int, help="expected group size"),
+    **_JSON_OUT,
+}
+
+# Every subcommand: name -> (help, flags, handler).  The experiments are
+# looked up when a command runs, so a replaced module attribute takes effect.
+_COMMANDS = {
+    "dgt": ("discrete Gabor transform of a signal",
+            {"--input": dict(required=True), "--window": dict(required=True), **_JSON_OUT},
+            _json_tool(lambda args: tfarray_to_dict(stft(
+                _read(args.input, signal_from_dict), _read(args.window, signal_from_dict))))),
+    "framebounds": ("optimal Gabor frame bounds", _LATTICE_FLAGS,
+                    _json_tool(lambda args: dict(zip("AB", frame_bounds(_system(args)))))),
+    "dualwindow": ("canonical dual window", _LATTICE_FLAGS,
+                   _json_tool(lambda args: signal_to_dict(dual_window(_system(args))))),
+    "tightwindow": ("canonical tight window", _LATTICE_FLAGS,
+                    _json_tool(lambda args: signal_to_dict(canonical_tight_window(
+                        _system(args))))),
+    "mixednorm": ("mixed norm of a stored array",
+                  {"--array": dict(required=True), "--perm": dict(required=True),
+                   "--exps": dict(required=True), **_JSON_OUT},
+                  _json_tool(lambda args: {"mixed_norm": mixed_norm(
+                      _read(args.array, array_from_dict), Permutation.parse(args.perm),
+                      ExponentVector.parse(args.exps))})),
+    "schatten": ("Schatten p-norm of a stored matrix",
+                 {"--matrix": dict(required=True), "--p": dict(type=float, required=True),
+                  "--spectrum": dict(action="store_true"), **_JSON_OUT},
+                 _json_tool(_schatten)),
+    "verify": ("ratio experiment for one theorem",
+               {flag: _EXPERIMENT_FLAGS[flag] for flag in list(_EXPERIMENT_FLAGS)[:-2]},
+               lambda args: _experiment(args, ratio_experiment)),
+    "sharpness": ("blow-up experiment for SHARP-* ids", _EXPERIMENT_FLAGS,
+                  lambda args: _experiment(args, sharpness_experiment)),
+    "multbound": ("pointwise multiplication bound",
+                  {**{flag: _EXPERIMENT_FLAGS[flag] for flag in
+                      ("--n", "--seed", "--perm", "--trials", "--window", "--out")},
+                   "--exps": dict(default="2,1.5", help="exponents 2,q")},
+                  _multbound),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError, reported like every other input error."""
@@ -192,69 +205,31 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gaborlab",
-        description="Finite-model time-frequency analysis toolkit",
-    )
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser holding only subcommand `command`, or all of them if None."""
+    parser = _Parser(prog="gaborlab",
+                     description="Finite-model time-frequency analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("dgt", help="discrete Gabor transform of a signal")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_dgt)
-
-    for name, func, help_text in (
-        ("framebounds", _cmd_framebounds, "optimal Gabor frame bounds"),
-        ("dualwindow", _cmd_dualwindow, "canonical dual window"),
-        ("tightwindow", _cmd_tightwindow, "canonical tight window"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_lattice_flags(sp)
-        sp.set_defaults(func=func)
-
-    sp = sub.add_parser("mixednorm", help="mixed norm of a stored array")
-    sp.add_argument("--array", required=True)
-    sp.add_argument("--perm", required=True)
-    sp.add_argument("--exps", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_mixednorm)
-
-    sp = sub.add_parser("schatten", help="Schatten p-norm of a stored matrix")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--spectrum", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_schatten)
-
-    for name, experiment, flags, help_text in (
-        ("verify", ratio_experiment, list(_EXPERIMENT_FLAGS)[:-2],
-         "ratio experiment for one theorem"),
-        ("sharpness", sharpness_experiment, _EXPERIMENT_FLAGS,
-         "blow-up experiment for SHARP-* ids"),
-        ("multbound", ratio_experiment,
-         ("--n", "--seed", "--perm", "--trials", "--window", "--out"),
-         "pointwise multiplication bound"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            sp.add_argument(flag, **_EXPERIMENT_FLAGS[flag])
-        sp.set_defaults(func=_cmd_experiment, experiment=experiment)
-    # multbound, built last, checks its own --exps and runs T4.2a.
-    sp.add_argument("--exps", default="2,1.5", help="exponents 2,q")
-    sp.set_defaults(func=_cmd_multbound, theorem_id="T4.2a")
-
+    for name, (help_text, flags, handler) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flag, spec in flags.items():
+                sp.add_argument(flag, **spec)
+            sp.set_defaults(func=handler)
     return parser
 
 
 def run_cli(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A named subcommand gets a parser of its own; --help, no argument or an
+    # unknown name get the full parser and so its usage text.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help; usage errors raise ConfigError
         return exc.code
-    except (ConfigError, NotAFrameError, ValueError) as exc:
+    except (ConfigError, NotAFrameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -119,18 +119,31 @@ def classify_permutation(c: Permutation, d: int) -> set:
             if rank * d == m and satisfies_blocks(c, conds, d)}
 
 
+def _peak_scaled_norm(a: np.ndarray, p: float):
+    peak = a.max(axis=-1, initial=0.0)
+    safe = np.where(peak > 0, peak, 1.0)
+    return peak * ((a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+
+
 def lp_norm(a: np.ndarray, p: float):
     """l^p norm over the last axis of a non-negative array.  A general p is
-    taken on the array scaled by its peak, so large entries cannot overflow."""
+    taken on the array scaled by its peak, so large entries cannot overflow.
+    p = 2 sums plain squares, and retakes on the scaled path only the rows
+    whose sum overflowed or fell below 1e-300, where underflow eats digits."""
     if p == INF:
         return a.max(axis=-1, initial=0.0)
     if p == 1.0:
         return a.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    peak = a.max(axis=-1, initial=0.0)
-    safe = np.where(peak > 0, peak, 1.0)
-    return peak * ((a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+    if p != 2.0:
+        return _peak_scaled_norm(a, p)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = (a * a).sum(axis=-1)
+    norm = np.sqrt(squares)
+    redo = ~((squares > 1e-300) & (squares < INF))
+    if redo.any():
+        norm = np.array(norm)  # writable, also when the result is 0-d
+        norm[redo] = _peak_scaled_norm(a[redo], 2.0)
+    return norm
 
 
 def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:

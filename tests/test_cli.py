@@ -1,5 +1,6 @@
 """CLI: subcommand plumbing, exit codes, serialized IO round-trips."""
 
+import argparse
 import json
 import math
 import os
@@ -61,6 +62,48 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,payload,names", [
+    (["dgt", "--input", "{}", "--window", "{w}"], [1, 2], "JSON object"),
+    (["dgt", "--input", "{}", "--window", "{w}"], {"re": [1, 2, 3, 4]}, "'n'"),
+    (["dgt", "--input", "{w}", "--window", "{}"], {"n": 4}, "'re'"),
+    (["framebounds", "--window", "{}", "--a", "2", "--b", "2"], [1, 2], "JSON object"),
+    (["dualwindow", "--window", "{}", "--a", "2", "--b", "2"], {"re": [1, 0]}, "'n'"),
+    (["tightwindow", "--window", "{}", "--a", "2", "--b", "2"], 3, "JSON object"),
+    (["mixednorm", "--array", "{}", "--perm", "1,2", "--exps", "2,2"], [[1, 2]],
+     "JSON object"),
+    (["mixednorm", "--array", "{}", "--perm", "1,2", "--exps", "2,2"], {"shape": [2, 2]},
+     "'re'"),
+    (["schatten", "--matrix", "{}", "--p", "1.5"], [[1, 0], [0, 1]], "JSON object"),
+    (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2}, "'re'"),
+], ids=["dgt-list", "dgt-no-n", "dgt-window-no-re", "framebounds-list", "dualwindow-no-n",
+        "tightwindow-number", "mixednorm-list", "mixednorm-no-re", "schatten-list",
+        "schatten-no-re"])
+def test_malformed_input_file_exits_one(files, capsys, argv, payload, names):
+    tmp, w, _ = files
+    bad = tmp / "bad.json"
+    dump_json(payload, bad)
+    argv = [arg.format(str(bad), w=w) for arg in argv]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err and names in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "T2.9", "--n", "8", "--trials", "1"],
+    ["framebounds", "--window", "{w}", "--a", "2", "--b", "2"],
+], ids=["verify", "framebounds"])
+def test_unwritable_out_exits_one(files, capsys, argv):
+    tmp, w, _ = files
+    out = tmp / "missing" / "x.out"
+    assert run_cli([arg.format(w=w) for arg in argv] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_framebounds_and_duals(files, capsys):
     tmp, w, f = files
     assert run_cli(["framebounds", "--window", w, "--a", "2", "--b", "2",
@@ -93,6 +136,21 @@ def test_mixednorm_subcommand(tmp_path, capsys):
                     "--exps", "2,2,1,inf"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mixed_norm"] > 0
+
+
+@pytest.mark.parametrize("entry,exps,norm", [
+    (1e200, "2,2", 2e200),
+    (1e-200, "2,2", 2e-200),
+    (1e-200, "2,1.5", 2 ** (7 / 6) * 1e-200),  # (2 (2^0.5 x)^1.5)^(1/1.5)
+])
+def test_mixednorm_of_extreme_entries(tmp_path, capsys, entry, exps, norm):
+    path = tmp_path / "extreme.json"
+    dump_json({"shape": [2, 2], "re": [entry] * 4}, path)
+    assert run_cli(["mixednorm", "--array", str(path), "--perm", "1,2",
+                    "--exps", exps]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["mixed_norm"] == pytest.approx(norm, rel=1e-12, abs=0)
+    assert captured.err == ""
 
 
 def test_non_finite_result_exits_two(tmp_path, capsys):
@@ -346,3 +404,43 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+SUBCOMMANDS = ("dgt", "framebounds", "dualwindow", "tightwindow", "mixednorm",
+               "schatten", "verify", "sharpness", "multbound")
+
+
+def _subparsers(parser):
+    """The subcommand parsers `parser` holds, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_subcommand_parser_matches_full_parser(name):
+    alone = _subparsers(build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == _subparsers(build_parser())[name].format_help()
+
+
+def test_run_cli_builds_only_the_named_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_cli(["sharpness", "--theorem", "SHARP-T4.3", "--n", "8", "--p", "2",
+                    "--trials", "1"]) == 0
+    assert built == ["sharpness"]
+    built.clear()
+    assert run_cli(["--help"]) == 0
+    assert tuple(built) == SUBCOMMANDS
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_exits_zero(capsys, name):
+    assert run_cli([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: gaborlab {name} ")

@@ -8,6 +8,7 @@ set-based implementation.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gaborlab.mixednorm import (
     ExponentVector,
     Permutation,
     classify_permutation,
+    lp_norm,
     mixed_modulation_norm,
     mixed_norm,
     tensor_window,
@@ -231,6 +233,26 @@ class TestMixedNorm:
         arr[0, 0] = np.inf
         with pytest.raises(ValueError):
             mixed_norm(arr, Permutation((1, 2)), ExponentVector((1, 1)))
+
+    @pytest.mark.parametrize("entry", [1e200, 1e-200])
+    def test_two_norm_neither_overflows_nor_underflows(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(np.full(4, entry), 2.0)
+        assert got == pytest.approx(2 * entry, rel=1e-12, abs=0)
+
+    def test_two_norm_retakes_only_extreme_rows(self):
+        """Ordinary rows keep the plain sum-of-squares bits."""
+        rng = np.random.default_rng(3)
+        arr = np.abs(rng.standard_normal((5, 6)))
+        row = arr[2].copy()
+        arr[2] = row * 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(arr, 2.0)
+        plain = np.sqrt((arr * arr).sum(axis=-1))
+        assert np.array_equal(np.delete(got, 2), np.delete(plain, 2))
+        assert got[2] == pytest.approx(1e-200 * np.linalg.norm(row), rel=1e-12, abs=0)
 
 
 class TestMixedModulationNorm:
