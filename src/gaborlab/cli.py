@@ -39,6 +39,8 @@ def _read(path, convert=None):
         return convert(payload) if convert else payload
     except KeyError as exc:
         raise ConfigError(f"{path} has no {exc} key") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _emit(obj, path=None):
@@ -74,7 +76,7 @@ def _schatten(args) -> dict:
     out = {"p": "inf" if math.isinf(args.p) else args.p,
            "schatten_norm": schatten_norm(mat, args.p)}
     if args.spectrum:
-        out["singular_values"] = list(singular_values(mat).values)
+        out["singular_values"] = singular_values(mat).tolist()
     return out
 
 

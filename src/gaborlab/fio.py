@@ -25,8 +25,8 @@ from .signals import FiniteSignal
 
 __all__ = [
     "dft_matrix",
+    "oscillatory",
     "build_easy_fio",
-    "easy_kernel",
     "build_hard_fio",
     "apply_chirp",
     "quadratic_phase_table",
@@ -40,30 +40,23 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def _check_pair(sym, phase) -> None:
+def oscillatory(sym: SymbolTable, phase: PhaseTable) -> np.ndarray:
+    """The product sym * exp(2 pi i phase) of two tables of one shape."""
     if (sym.n, sym.rank) != (phase.n, phase.rank):
         raise ValueError("symbol and phase tables have mismatched shapes")
-
-
-def easy_kernel(a: SymbolTable, phi: PhaseTable) -> SymbolTable:
-    """k(x, xi) = a(x, xi) exp(2 pi i phi(x, xi)); the easy FIO is k @ F."""
-    _check_pair(a, phi)
-    if a.rank != 2:
-        raise ValueError("easy form takes rank-2 tables")
-    return SymbolTable(a.n, 2, a.values * phi.unit_table())
+    return sym.values * phase.unit_table()
 
 
 def build_easy_fio(a: SymbolTable, phi: PhaseTable) -> OperatorMatrix:
-    k = easy_kernel(a, phi)
-    return OperatorMatrix(a.n, k.values @ dft_matrix(a.n))
+    if a.rank != 2:
+        raise ValueError("easy form takes rank-2 tables")
+    return OperatorMatrix(a.n, oscillatory(a, phi) @ dft_matrix(a.n))
 
 
 def build_hard_fio(b: SymbolTable, psi: PhaseTable) -> OperatorMatrix:
-    _check_pair(b, psi)
     if b.rank != 3:
         raise ValueError("hard form takes rank-3 tables")
-    kernel = (b.values * psi.unit_table()).sum(axis=2) / np.sqrt(b.n)
-    return OperatorMatrix(b.n, kernel)
+    return OperatorMatrix(b.n, oscillatory(b, psi).sum(axis=2) / np.sqrt(b.n))
 
 
 def apply_chirp(f: FiniteSignal, m) -> FiniteSignal:
@@ -101,12 +94,11 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
       sum conj(weights[i, j]) * ops[i, j].entries == build_hard_fio(b, psi)
     holds whenever the system is a frame.
     """
-    _check_pair(b, psi)
     if b.rank != 3 or b.n != sys.n:
         raise ValueError("slicing expects rank-3 tables on the system's Z_n")
     n = sys.n
     weights = _coefficients(sys, np.ones(n))
-    osc = b.values * psi.unit_table()  # (x, y, xi)
+    osc = oscillatory(b, psi)  # (x, y, xi)
     kernels = _coefficients(sys, osc, dual_window(sys)) / np.sqrt(n)  # (x, y, k, l)
     ops = np.empty(weights.shape, dtype=object)
     for idx in np.ndindex(weights.shape):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fio import build_easy_fio, build_hard_fio, quadratic_phase_table
+from .fio import build_easy_fio, build_hard_fio, oscillatory, quadratic_phase_table
 from .mixednorm import (
     CLASSES,
     ExponentVector,
@@ -374,12 +374,12 @@ def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
 
 
 def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
-    """(operator, norm-object SymbolTable, metadata) for one draw."""
+    """(operator, norm-object array, metadata) for one draw."""
     rank = 2 if spec.form in ("kernel", "easy") else 3
     sym = gen_ensemble("gaussian-symbol", n, rng, rank=rank)
     meta = {}
     if spec.form == "kernel":
-        return OperatorMatrix(n, sym.values), sym, meta
+        return OperatorMatrix(n, sym.values), sym.values, meta
 
     if spec.phase == "random":
         phase = gen_ensemble("random-phase", n, rng, rank=rank)
@@ -395,15 +395,8 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
             block = np.array([[qp.m[0, 1], qp.m[0, 2]], [qp.m[1, 2], qp.m[2, 2]]])
             meta["det_nondegeneracy_block"] = float(np.linalg.det(block))
 
-    if spec.form == "easy":
-        op = build_easy_fio(sym, phase)
-    else:
-        op = build_hard_fio(sym, phase)
-
-    if spec.norm_object == "bare":
-        obj = sym
-    else:
-        obj = SymbolTable(n, rank, sym.values * phase.unit_table())
+    op = (build_easy_fio if spec.form == "easy" else build_hard_fio)(sym, phase)
+    obj = sym.values if spec.norm_object == "bare" else oscillatory(sym, phase)
     return op, obj, meta
 
 

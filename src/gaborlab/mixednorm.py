@@ -23,7 +23,6 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import SymbolTable
 from .signals import FiniteSignal, stft
 
 __all__ = [
@@ -175,15 +174,14 @@ def tensor_window(window: FiniteSignal, rank: int) -> FiniteSignal:
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
                           exps: ExponentVector) -> float:
-    """mixed_norm of the STFT of `obj` against the tensor-power window."""
-    if isinstance(obj, SymbolTable):
-        sig = obj.as_signal()
-    elif isinstance(obj, FiniteSignal):
-        sig = obj
-    else:
-        sig = FiniteSignal(window.n, np.asarray(obj).ndim, np.asarray(obj).ravel())
-    if window.n != sig.n:
+    """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array,
+    against the tensor-power window."""
+    if not isinstance(obj, FiniteSignal):
+        if np.shape(obj) != (window.n,) * np.ndim(obj):
+            raise ValueError(f"array of shape {np.shape(obj)} is not (n,)*r, n = {window.n}")
+        obj = FiniteSignal(window.n, np.ndim(obj), obj)
+    if window.n != obj.n:
         raise ValueError("window group size does not match")
-    if len(c) != 2 * sig.dim:
-        raise ValueError(f"permutation must have length {2 * sig.dim}")
-    return mixed_norm(stft(sig, window).values, c, exps)
+    if len(c) != 2 * obj.dim:
+        raise ValueError(f"permutation must have length {2 * obj.dim}")
+    return mixed_norm(stft(obj, window), c, exps)

@@ -6,11 +6,9 @@ operator builders use exp(2 pi i psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .signals import FiniteSignal
 
 __all__ = ["OperatorMatrix", "SymbolTable", "PhaseTable", "QuadraticPhase"]
 
@@ -54,9 +52,6 @@ class SymbolTable:
         object.__setattr__(
             self, "values", _check_table(self.n, self.rank, self.values, np.complex128)
         )
-
-    def as_signal(self) -> FiniteSignal:
-        return FiniteSignal(self.n, self.rank, self.values.ravel())
 
 
 @dataclass(frozen=True)

@@ -2,40 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mixednorm import lp_norm
 from .operators import OperatorMatrix
 
-__all__ = ["SingularSpectrum", "singular_values", "schatten_norm", "pair_functional"]
+__all__ = ["singular_values", "schatten_norm", "pair_functional"]
 
 ORTHONORMAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Non-increasing, non-negative singular values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or np.any(vals < 0) or np.any(np.diff(vals) > 0):
-            raise ValueError("singular values must be non-negative and descending")
-        object.__setattr__(self, "values", vals)
-
-
-def singular_values(a: OperatorMatrix) -> SingularSpectrum:
-    return SingularSpectrum(np.linalg.svd(a.entries, compute_uv=False))
+def singular_values(a: OperatorMatrix) -> np.ndarray:
+    """Non-negative singular values in descending order, as LAPACK returns them."""
+    return np.linalg.svd(a.entries, compute_uv=False)
 
 
 def schatten_norm(a: OperatorMatrix, p: float) -> float:
     """l^p norm of the singular values; p = 2 is Frobenius, p = inf operator norm."""
     if not (p >= 1.0):
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    return float(lp_norm(singular_values(a).values, p))
+    return float(lp_norm(singular_values(a), p))
 
 
 def _check_orthonormal(vecs: np.ndarray, name: str) -> None:

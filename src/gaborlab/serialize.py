@@ -1,8 +1,9 @@
-"""JSON serialization for signals, tables, matrices and TF arrays.
+"""JSON serialization for signals, matrices and STFT arrays.
 
 Signals: {"n": int, "dim": int, "re": [...], "im": [...]} flat row-major.
-Tables/matrices: {"n": int, "rank": r, "re": nested, "im": nested}; "im"
-may be omitted for real data, and nested lists may be given flat.
+Matrices: {"n": int, "re": nested, "im": nested}.  STFT arrays: stft's
+(n,)*2m array flat, with "n", "m" and "shape".  "im" may be omitted for real
+data, nested lists may be given flat, and every size must be a JSON integer.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import OperatorMatrix
-from .signals import FiniteSignal, TFArray
+from .signals import FiniteSignal
 
 __all__ = [
     "signal_to_dict",
@@ -21,6 +22,13 @@ __all__ = [
 ]
 
 
+def _size(value, name: str) -> int:
+    """A non-negative JSON integer; bool, float, null and text raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f'"{name}" must be a non-negative integer, got {value!r}')
+    return value
+
+
 def _complex_from(payload) -> np.ndarray:
     re = np.asarray(payload["re"], dtype=np.float64)
     im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=np.float64)
@@ -29,41 +37,38 @@ def _complex_from(payload) -> np.ndarray:
     return re + 1j * im
 
 
+def _complex_to(values: np.ndarray) -> dict:
+    return {"re": values.real.ravel().tolist(), "im": values.imag.ravel().tolist()}
+
+
 def signal_to_dict(f: FiniteSignal) -> dict:
-    return {
-        "n": f.n,
-        "dim": f.dim,
-        "re": f.values.real.tolist(),
-        "im": f.values.imag.tolist(),
-    }
+    return {"n": f.n, "dim": f.dim, **_complex_to(f.values)}
 
 
 def signal_from_dict(payload: dict) -> FiniteSignal:
-    return FiniteSignal(int(payload["n"]), int(payload.get("dim", 1)),
+    return FiniteSignal(_size(payload["n"], "n"), _size(payload.get("dim", 1), "dim"),
                         _complex_from(payload))
 
 
-def tfarray_to_dict(v: TFArray) -> dict:
-    return {
-        "n": v.n,
-        "m": v.m,
-        "shape": list(v.values.shape),
-        "re": v.values.real.ravel().tolist(),
-        "im": v.values.imag.ravel().tolist(),
-    }
+def tfarray_to_dict(v: np.ndarray) -> dict:
+    """An (n,)*2m STFT array, as stft returns it."""
+    return {"n": v.shape[0], "m": v.ndim // 2, "shape": list(v.shape), **_complex_to(v)}
 
 
 def array_from_dict(payload: dict) -> np.ndarray:
-    """Generic multi-axis complex array (accepts TFArray or nested forms)."""
+    """Multi-axis complex array, shaped by "shape", or by "n" and "m"."""
     vals = _complex_from(payload)
     if "shape" in payload:
-        vals = vals.reshape(tuple(payload["shape"]))
+        shape = payload["shape"]
+        if not isinstance(shape, list):
+            raise ValueError(f'"shape" must be a list of integers, got {shape!r}')
+        vals = vals.reshape(tuple(_size(s, "shape") for s in shape))
     elif "n" in payload and "m" in payload:
-        vals = vals.reshape((int(payload["n"]),) * (2 * int(payload["m"])))
+        vals = vals.reshape((_size(payload["n"], "n"),) * (2 * _size(payload["m"], "m")))
     return vals
 
 
 def matrix_from_dict(payload: dict) -> OperatorMatrix:
     vals = _complex_from(payload)
-    n = int(payload.get("n", 0)) or int(round(np.sqrt(vals.size)))
+    n = _size(payload.get("n", 0), "n") or int(round(np.sqrt(vals.size)))
     return OperatorMatrix(n, vals.reshape(n, n))

@@ -1,8 +1,7 @@
 """Signals on the cyclic group Z_n^d.
 
-Provides the core objects (FiniteSignal, TFArray) and operations:
-time-frequency shifts, the unitary DFT and the normalized short-time
-Fourier transform.
+Provides the signal type FiniteSignal and its operations: time-frequency
+shifts, the unitary DFT and the normalized short-time Fourier transform.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -12,7 +11,8 @@ Conventions fixed here and relied on everywhere else:
 * The STFT carries the same n^(-d/2) prefactor so that the Moyal
   identity sum |V|^2 = |f|^2 |g|^2 holds with constant 1.
 * A one-dimensional window on Z_n^d means its tensor power g (x) ... (x) g.
-* TFArray axes are ordered "all time shifts, then all frequencies".
+* The STFT of a signal on Z_n^d is a plain (n,)*2d array whose axes are
+  ordered "all time shifts, then all frequencies".
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import scipy.fft
 
 __all__ = [
     "FiniteSignal",
-    "TFArray",
     "tf_shift",
     "dft",
     "stft",
@@ -71,23 +70,6 @@ class FiniteSignal:
 
     def scaled(self, alpha: complex) -> "FiniteSignal":
         return FiniteSignal(self.n, self.dim, alpha * self.values)
-
-
-@dataclass(frozen=True)
-class TFArray:
-    """Sampled STFT values on Z_n^m x Z_n^m, all time shifts before all frequencies."""
-
-    n: int
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 2 * self.m:
-            raise ValueError(f"expected rank {2 * self.m}, got rank {vals.ndim}")
-        if vals.shape != (self.n,) * (2 * self.m):
-            raise ValueError("all axes must have length n")
-        object.__setattr__(self, "values", vals)
 
 
 def delta(n: int, dim: int = 1, at=0) -> FiniteSignal:
@@ -139,8 +121,9 @@ def dft(f: FiniteSignal) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, out)
 
 
-def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
-    """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>.
+def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
+    """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>,
+    as an (n,)*2d array indexed (k_1, ..., k_d, l_1, ..., l_d).
 
     A one-dimensional window g on a d-dimensional signal stands for its
     tensor power g (x) ... (x) g; the transform then runs one axis at a time.
@@ -158,7 +141,7 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
             arr = arr.reshape(n ** (2 * j), 1, n, n ** (d - j - 1)) * w[:, :, None]
             arr = scipy.fft.fft(arr, axis=2, overwrite_x=True)
         order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-        return TFArray(n, d, arr.reshape((n,) * (2 * d)).transpose(order))
+        return arr.reshape((n,) * (2 * d)).transpose(order)
     if g.dim != d:
         raise ValueError(f"window dimension {g.dim} is neither 1 nor {d}")
     # General window: gather conj(g)(t - k) through idx on every axis pair
@@ -167,5 +150,5 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> TFArray:
                    for j in range(d))
     h = f.grid * np.conj(g.grid)[gather]
     spec = scipy.fft.fftn(h, axes=tuple(range(d, 2 * d)), overwrite_x=True)
-    return TFArray(n, d, spec * n ** (-d / 2))
+    return spec * n ** (-d / 2)
 

@@ -14,8 +14,8 @@ import pytest
 
 from gaborlab import cli
 from gaborlab.cli import build_parser, run_cli
-from gaborlab.serialize import signal_from_dict, signal_to_dict
-from gaborlab.signals import periodized_gaussian, random_signal
+from gaborlab.serialize import array_from_dict, signal_from_dict, signal_to_dict
+from gaborlab.signals import periodized_gaussian, random_signal, stft
 
 
 def load_json(path):
@@ -53,6 +53,8 @@ def test_dgt_roundtrip(files):
     assert run_cli(["dgt", "--input", f, "--window", w, "--out", out]) == 0
     payload = load_json(out)
     assert payload["n"] == 16 and payload["shape"] == [16, 16]
+    want = stft(signal_from_dict(load_json(f)), signal_from_dict(load_json(w)))
+    np.testing.assert_array_equal(array_from_dict(payload), want)
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):
@@ -75,9 +77,17 @@ def test_malformed_json_exits_one(tmp_path, capsys):
      "'re'"),
     (["schatten", "--matrix", "{}", "--p", "1.5"], [[1, 0], [0, 1]], "JSON object"),
     (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2}, "'re'"),
+    # Sizes are JSON integers: null, a float or a bare number for a list is refused.
+    (["dgt", "--input", "{}", "--window", "{w}"], {"n": None, "re": [1, 2, 3, 4]}, '"n"'),
+    (["dgt", "--input", "{}", "--window", "{w}"], {"n": 4, "dim": None, "re": [1, 2, 3, 4]},
+     '"dim"'),
+    (["mixednorm", "--array", "{}", "--perm", "1,2", "--exps", "2,2"],
+     {"shape": 4, "re": [1, 2, 3, 4]}, '"shape"'),
+    (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2.5, "re": [1, 0, 0, 0]}, '"n"'),
 ], ids=["dgt-list", "dgt-no-n", "dgt-window-no-re", "framebounds-list", "dualwindow-no-n",
         "tightwindow-number", "mixednorm-list", "mixednorm-no-re", "schatten-list",
-        "schatten-no-re"])
+        "schatten-no-re", "dgt-n-null", "dgt-dim-null", "mixednorm-shape-number",
+        "schatten-n-float"])
 def test_malformed_input_file_exits_one(files, capsys, argv, payload, names):
     tmp, w, _ = files
     bad = tmp / "bad.json"
@@ -175,7 +185,9 @@ def test_schatten_subcommand(tmp_path, capsys):
     assert run_cli(["schatten", "--matrix", str(path), "--p", "1.5",
                     "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert len(out["singular_values"]) == 6
+    # Matrices are read as complex; a real SVD of m differs in the last bits.
+    np.testing.assert_array_equal(out["singular_values"],
+                                  np.linalg.svd(m.astype(complex), compute_uv=False))
 
 
 def test_schatten_p_inf_is_the_largest_singular_value(tmp_path, capsys):

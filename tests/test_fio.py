@@ -8,8 +8,8 @@ from gaborlab.fio import (
     build_easy_fio,
     build_hard_fio,
     dft_matrix,
-    easy_kernel,
     fio_slice_family,
+    oscillatory,
     quadratic_phase_table,
 )
 from gaborlab.frames import GaborSystem, canonical_tight_window
@@ -65,7 +65,7 @@ class TestAssembly:
     def test_easy_factorization(self, n):
         a, phi = _tables(n, 2, n + 1)
         lhs = build_easy_fio(a, phi).entries
-        rhs = easy_kernel(a, phi).values @ dft_matrix(n)
+        rhs = oscillatory(a, phi) @ dft_matrix(n)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -98,6 +98,12 @@ class TestAssembly:
         with pytest.raises(ValueError):
             build_hard_fio(a, phi)
 
+    def test_oscillatory_rejects_mismatched_tables(self):
+        a, _ = _tables(8, 2, 0)
+        _, psi = _tables(8, 3, 0)
+        with pytest.raises(ValueError, match="mismatched"):
+            oscillatory(a, psi)
+
 
 class TestChirps:
     @pytest.mark.parametrize("n", [8, 16])
@@ -109,8 +115,8 @@ class TestChirps:
         g = random_signal(n, 1, rng)
         for m_val in range(2 * n):
             m = np.array([[m_val]])
-            lhs = np.abs(stft(apply_chirp(f, m), g).values)
-            base = np.abs(stft(f, apply_chirp(g, -m)).values)
+            lhs = np.abs(stft(apply_chirp(f, m), g))
+            base = np.abs(stft(f, apply_chirp(g, -m)))
             rhs = np.empty_like(base)
             for k in range(n):
                 rhs[k] = np.roll(base[k], (m_val * k) % n)
@@ -147,12 +153,11 @@ class TestQuadraticPhase:
         w = periodized_gaussian(n)
         c = Permutation((2, 5, 1, 4, 3, 6))
         exps = ExponentVector((2, 2, 1.5, 1.5, 1, np.inf))
-        base = mixed_modulation_norm(b, w, c, exps)
+        base = mixed_modulation_norm(b.values, w, c, exps)
         for q in ([1, 0, 2], [-3, 4, 0]):
             aff = QuadraticPhase(0.3, np.array(q), np.zeros((3, 3), dtype=int))
             phase = quadratic_phase_table(aff, 3, n)
-            modulated = SymbolTable(n, 3, b.values * phase.unit_table())
-            got = mixed_modulation_norm(modulated, w, c, exps)
+            got = mixed_modulation_norm(oscillatory(b, phase), w, c, exps)
             assert abs(got - base) <= 1e-10 * base
 
 

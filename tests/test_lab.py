@@ -269,7 +269,7 @@ class TestTensorMixedNorm:
         n = 6
         b1 = gen_ensemble("gaussian-symbol", n, 3, rank=2).values
         b2 = np.ones(n, dtype=np.complex128)
-        full = SymbolTable(n, 3, b1[:, :, None] * b2[None, None, :])
+        full = b1[:, :, None] * b2[None, None, :]
         window = make_window("gaussian-sampled", n)
         for cfg in self._arms(theorem, n, 1.5):
             exps = cfg.exponents()

@@ -24,8 +24,7 @@ from gaborlab.mixednorm import (
     mixed_norm,
     tensor_window,
 )
-from gaborlab.operators import SymbolTable
-from gaborlab.signals import delta, periodized_gaussian, random_signal, stft
+from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal, stft
 
 INF = math.inf
 
@@ -259,13 +258,17 @@ class TestMixedModulationNorm:
     def test_rank2_matches_manual(self):
         n = 6
         rng = np.random.default_rng(3)
-        sym = SymbolTable(n, 2, rng.standard_normal((n, n))
-                          + 1j * rng.standard_normal((n, n)))
+        sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w = periodized_gaussian(n)
         c, e = Permutation((1, 3, 2, 4)), ExponentVector((2, 2, 1.5, 1.5))
         got = mixed_modulation_norm(sym, w, c, e)
-        v = stft(sym.as_signal(), tensor_window(w, 2)).values
+        v = stft(FiniteSignal(n, 2, sym), tensor_window(w, 2))
         assert np.isclose(got, mixed_norm(v, c, e))
+
+    def test_array_must_be_n_by_n(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 8\)"):
+            mixed_modulation_norm(np.ones((2, 8)), periodized_gaussian(4),
+                                  Permutation((1, 3, 2, 4)), ExponentVector((2,) * 4))
 
     def test_two_norm_is_moyal(self):
         n = 8
@@ -278,8 +281,7 @@ class TestMixedModulationNorm:
     def test_delta_window_flat_spectrogram(self):
         n = 8
         ones = np.ones(n, dtype=np.complex128)
-        from gaborlab.signals import FiniteSignal
-        v = stft(FiniteSignal(n, 1, ones), delta(n)).values
+        v = stft(FiniteSignal(n, 1, ones), delta(n))
         assert np.allclose(np.abs(v), n ** -0.5)
 
 
