@@ -243,8 +243,7 @@ def run_cli(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run_cli(argv)
+main = run_cli
 
 
 if __name__ == "__main__":

@@ -199,6 +199,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError("seed must be a 64-bit non-negative integer")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"output_path must be a path string, got {self.output_path!r}")
 
         spec = THEOREMS[self.base_theorem]
         if spec.phase.startswith("quadratic") and any(n % 2 for n in n_values):
@@ -318,11 +320,8 @@ class Report:
         return out
 
     def all_finite(self) -> bool:
-        return all(
-            math.isfinite(r.schatten) and math.isfinite(r.mixed_norm)
-            and math.isfinite(r.ratio)
-            for r in self.records
-        )
+        return all(math.isfinite(v) for r in self.records
+                   for v in (r.schatten, r.mixed_norm, r.ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +415,7 @@ def _run_trials(cfg: ExperimentConfig, label: str, exps: ExponentVector,
         for t in range(cfg.trials):
             s, m, meta = trial(n, window, _trial_rng(cfg.seed, n, t))
             ratio = 0.0 if s == 0.0 else s / m
-            records.append(TrialRecord(label, n, t, cfg.p, s, m, ratio, cfg.seed,
-                                       meta))
+            records.append(TrialRecord(label, n, t, cfg.p, s, m, ratio, cfg.seed, meta))
             per_n[n] = max(per_n.get(n, 0.0), ratio)
     positives = [v for v in per_n.values() if v > 0]
     growth = (max(positives) / min(positives)) if positives else 0.0

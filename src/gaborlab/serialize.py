@@ -30,8 +30,11 @@ def _size(value, name: str) -> int:
 
 
 def _complex_from(payload) -> np.ndarray:
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=np.float64)
+    try:
+        re = np.asarray(payload["re"], dtype=np.float64)
+        im = np.asarray(payload.get("im", np.zeros_like(re)), dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f'"re" and "im" must be lists of numbers: {exc}') from None
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
     return re + 1j * im

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "FiniteSignal",
@@ -117,7 +116,8 @@ def tf_shift(f: FiniteSignal, k, l) -> FiniteSignal:
 
 def dft(f: FiniteSignal) -> FiniteSignal:
     """Unitary DFT on Z_n^d."""
-    out = scipy.fft.fftn(f.grid) * f.n ** (-f.dim / 2)
+    # fftn runs its axes last to first; reversing them keeps axis 0 first and the bits stable.
+    out = np.fft.fftn(f.grid, axes=tuple(reversed(range(f.dim)))) * f.n ** (-f.dim / 2)
     return FiniteSignal(f.n, f.dim, out)
 
 
@@ -139,7 +139,7 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
         for j in range(d):
             # arr is (k_1, l_1, ..., k_j, l_j, t_{j+1}, ..., t_d), flat.
             arr = arr.reshape(n ** (2 * j), 1, n, n ** (d - j - 1)) * w[:, :, None]
-            arr = scipy.fft.fft(arr, axis=2, overwrite_x=True)
+            np.fft.fft(arr, axis=2, out=arr)
         order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         return arr.reshape((n,) * (2 * d)).transpose(order)
     if g.dim != d:
@@ -149,6 +149,6 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
     gather = tuple(idx.reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - j - 1))
                    for j in range(d))
     h = f.grid * np.conj(g.grid)[gather]
-    spec = scipy.fft.fftn(h, axes=tuple(range(d, 2 * d)), overwrite_x=True)
-    return spec * n ** (-d / 2)
+    np.fft.fftn(h, axes=tuple(reversed(range(d, 2 * d))), out=h)
+    return h * n ** (-d / 2)
 

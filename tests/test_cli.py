@@ -84,10 +84,14 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     (["mixednorm", "--array", "{}", "--perm", "1,2", "--exps", "2,2"],
      {"shape": 4, "re": [1, 2, 3, 4]}, '"shape"'),
     (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2.5, "re": [1, 0, 0, 0]}, '"n"'),
+    # Values are JSON numbers: an object in "re" or "im" is refused.
+    (["dgt", "--input", "{}", "--window", "{w}"], {"n": 4, "re": {"a": 1}}, '"re"'),
+    (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2, "re": [1, 0, 0, 1], "im": {"a": 1}},
+     '"im"'),
 ], ids=["dgt-list", "dgt-no-n", "dgt-window-no-re", "framebounds-list", "dualwindow-no-n",
         "tightwindow-number", "mixednorm-list", "mixednorm-no-re", "schatten-list",
         "schatten-no-re", "dgt-n-null", "dgt-dim-null", "mixednorm-shape-number",
-        "schatten-n-float"])
+        "schatten-n-float", "dgt-re-dict", "schatten-im-dict"])
 def test_malformed_input_file_exits_one(files, capsys, argv, payload, names):
     tmp, w, _ = files
     bad = tmp / "bad.json"
@@ -256,6 +260,19 @@ def test_verify_config_value_types(tmp_path, capsys, key, value):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("value", [True, 1, ["a"]], ids=["true", "int", "list"])
+def test_verify_config_output_path_must_be_text(tmp_path, value):
+    """Without --out the config's output_path is opened as given, and open()
+    reads a bool or an int as a file descriptor (true is stdout). Run in a
+    fresh interpreter, so a regression cannot close the test runner's fds."""
+    cfg = tmp_path / "exp.json"
+    dump_json({"theorem_id": "T2.9", "n_values": [4], "trials": 1, "output_path": value}, cfg)
+    proc = _module_cli("verify", "--config", str(cfg))
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "output_path" in lines[0]
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     dump_json({"theorem_id": "T3.1", "n_values": [8], "trials": 2,
@@ -392,15 +409,19 @@ def test_memory_error_exits_one(monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_module_form_prints_one_error_line():
-    """`python -m gaborlab.cli` imports the package first; that import must
-    not already hold `gaborlab.cli`, or runpy warns on stderr."""
+def _module_cli(*argv):
+    """`python -m gaborlab.cli *argv` in a fresh interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaborlab.cli", "verify", "--theorem", "T9", "--n", "8"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "gaborlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_form_prints_one_error_line():
+    """`python -m gaborlab.cli` imports the package first; that import must
+    not already hold `gaborlab.cli`, or runpy warns on stderr."""
+    proc = _module_cli("verify", "--theorem", "T9", "--n", "8")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

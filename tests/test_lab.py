@@ -19,7 +19,8 @@ from gaborlab.lab import (
     tensor_mixed_norm,
 )
 from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
-from gaborlab.operators import PhaseTable, QuadraticPhase, SymbolTable
+from gaborlab.operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
+from gaborlab.schatten import schatten_norm
 
 
 def _slice(image):
@@ -205,6 +206,35 @@ class TestRatioExperiment:
                                    seed=0)
             rep = ratio_experiment(cfg)
             assert rep.all_finite() and rep.records[0].ratio > 0
+
+
+class TestExactIdentities:
+    """Closed forms that pin the STFT's n^(-d/2) normalisation exactly."""
+
+    @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
+    @pytest.mark.parametrize("theorem", ["T2.9", "T3.1", "T4.3a", "T4.4a", "T4.5a"])
+    def test_ratio_is_one_at_p_two(self, theorem, window):
+        # Every exponent is 2, so by Moyal the mixed norm is the l^2 norm of
+        # the kernel or symbol (the unit window contributes 1), and the easy
+        # form's unitary partial DFT carries that to the S^2 (Frobenius) norm.
+        cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 12), p=2.0, trials=3,
+                               seed=4, window_kind=window)
+        ratios = [r.ratio for r in ratio_experiment(cfg).records]
+        assert len(ratios) == 6
+        np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
+    def test_identity_kernel_ratio(self, n, window):
+        # ||I||_{S^p} = n^(1/p); the (2, 2, p, p) norm of the identity's STFT
+        # is n^(1/2) for every unit window, so the T2.9 ratio is n^(1/2 - 1/p).
+        eye = np.eye(n)
+        g = make_window(window, n, 0)
+        for p in (1.0, 1.25, 1.5, 2.0):
+            mixed = mixed_modulation_norm(eye, g, Permutation((1, 3, 2, 4)),
+                                          ExponentVector((2.0, 2.0, p, p)))
+            ratio = schatten_norm(OperatorMatrix(n, eye), p) / mixed
+            assert abs(ratio - n ** (0.5 - 1.0 / p)) <= 1e-12, (p, ratio)
 
 
 class TestSharpnessExperiment:

@@ -2,7 +2,10 @@
 re-exports the union of the library modules' lists."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,20 @@ def test_readme_quick_example_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["A"] <= namespace["B"] and namespace["norm"] > 0
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing the package and its CLI, and running both FFT paths, loads
+    no scipy module."""
+    code = ("import sys, numpy, gaborlab, gaborlab.cli\n"
+            "f = gaborlab.random_signal(4, 2, numpy.random.default_rng(0))\n"
+            "gaborlab.dft(f); gaborlab.stft(f, gaborlab.delta(4)); gaborlab.stft(f, f)\n"
+            "print(sorted(name for name, module in sys.modules.items()\n"
+            "             if module is not None and name.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(README.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

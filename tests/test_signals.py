@@ -143,13 +143,13 @@ class TestSTFT:
         with pytest.raises(ValueError):
             stft(_rand(8, 1, 0), _rand(4, 1, 0))
 
-    def test_window_cache_correctness(self):
-        """Switching windows must invalidate the cached gather table."""
+    def test_result_depends_only_on_arguments(self):
+        """A transform against another window in between changes nothing."""
         f = _rand(8, 1, 0)
         g1, g2 = _rand(8, 1, 1), _rand(8, 1, 2)
         v1 = stft(f, g1).copy()
         stft(f, g2)
-        assert np.allclose(stft(f, g1), v1)
+        assert np.array_equal(stft(f, g1), v1)
 
 
 class TestHelpers:
