@@ -1,6 +1,6 @@
 """Oscillatory integral operators on Z_n.
 
-Two builder forms:
+Two forms, both built by fio_operator from the symbol-phase product:
 
 * "easy":  A f(x) = sum_xi a(x, xi) exp(2 pi i phi(x, xi)) f_hat(xi),
   assembled as K @ F with K = a * exp(2 pi i phi) and F the unitary DFT.
@@ -26,6 +26,7 @@ from .signals import FiniteSignal
 __all__ = [
     "dft_matrix",
     "oscillatory",
+    "fio_operator",
     "build_easy_fio",
     "build_hard_fio",
     "apply_chirp",
@@ -47,16 +48,25 @@ def oscillatory(sym: SymbolTable, phase: PhaseTable) -> np.ndarray:
     return sym.values * phase.unit_table()
 
 
+def fio_operator(prod: np.ndarray) -> OperatorMatrix:
+    """Easy form prod @ F of a rank-2 product, hard form n^(-1/2) sum_xi prod of a rank-3 one."""
+    if prod.ndim == 2:
+        return OperatorMatrix(prod @ dft_matrix(len(prod)))
+    if prod.ndim == 3:
+        return OperatorMatrix(prod.sum(axis=2) / np.sqrt(len(prod)))
+    raise ValueError(f"an FIO product has rank 2 or 3, got {prod.ndim}")
+
+
 def build_easy_fio(a: SymbolTable, phi: PhaseTable) -> OperatorMatrix:
     if a.rank != 2:
         raise ValueError("easy form takes rank-2 tables")
-    return OperatorMatrix(a.n, oscillatory(a, phi) @ dft_matrix(a.n))
+    return fio_operator(oscillatory(a, phi))
 
 
 def build_hard_fio(b: SymbolTable, psi: PhaseTable) -> OperatorMatrix:
     if b.rank != 3:
         raise ValueError("hard form takes rank-3 tables")
-    return OperatorMatrix(b.n, oscillatory(b, psi).sum(axis=2) / np.sqrt(b.n))
+    return fio_operator(oscillatory(b, psi))
 
 
 def apply_chirp(f: FiniteSignal, m) -> FiniteSignal:
@@ -71,16 +81,14 @@ def apply_chirp(f: FiniteSignal, m) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, np.exp(1j * np.pi * quad / f.n) * f.values)
 
 
-def quadratic_phase_table(qp: QuadraticPhase, rank: int, n: int) -> PhaseTable:
-    """Phase table psi(w) = c0 + q.w/n + w.Mw/(2n), reduced mod 1."""
-    if qp.rank != rank:
-        raise ValueError(f"quadratic phase has rank {qp.rank}, requested {rank}")
+def quadratic_phase_table(qp: QuadraticPhase, n: int) -> PhaseTable:
+    """Phase table psi(w) = c0 + q.w/n + w.Mw/(2n) of rank qp.rank, reduced mod 1."""
     qp.check_well_defined(n)
-    coords = np.indices((n,) * rank).reshape(rank, -1).astype(np.float64)
+    coords = np.indices((n,) * qp.rank).reshape(qp.rank, -1).astype(np.float64)
     lin = qp.q.astype(np.float64) @ coords
     quad = np.einsum("it,ij,jt->t", coords, qp.m.astype(np.float64), coords)
     vals = (qp.c0 + lin / n + quad / (2 * n)) % 1.0
-    return PhaseTable(n, rank, vals.reshape((n,) * rank))
+    return PhaseTable(n, qp.rank, vals.reshape((n,) * qp.rank))
 
 
 def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple:
@@ -98,9 +106,9 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
         raise ValueError("slicing expects rank-3 tables on the system's Z_n")
     n = sys.n
     weights = _coefficients(sys, np.ones(n))
-    osc = oscillatory(b, psi)  # (x, y, xi)
-    kernels = _coefficients(sys, osc, dual_window(sys)) / np.sqrt(n)  # (x, y, k, l)
+    dual = sys.with_window(dual_window(sys))
+    kernels = _coefficients(dual, oscillatory(b, psi)) / np.sqrt(n)  # (x, y, k, l)
     ops = np.empty(weights.shape, dtype=object)
     for idx in np.ndindex(weights.shape):
-        ops[idx] = OperatorMatrix(n, kernels[(...,) + idx])
+        ops[idx] = OperatorMatrix(kernels[(...,) + idx])
     return weights, ops

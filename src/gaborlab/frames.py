@@ -65,17 +65,17 @@ class GaborSystem:
         return GaborSystem(window, self.a, self.b)
 
 
-def _shift_table(sys: GaborSystem, window: FiniteSignal = None) -> np.ndarray:
+def _shift_table(sys: GaborSystem) -> np.ndarray:
     """Conjugated shifted windows conj(g(t - k)), k in aZ_n, as an (n/a, n) table."""
-    g = (window or sys.window).values
+    g = sys.window.values
     return g[(np.arange(sys.n) - sys.time_nodes[:, None]) % sys.n].conj()
 
 
-def _coefficients(sys: GaborSystem, x, window: FiniteSignal = None) -> np.ndarray:
+def _coefficients(sys: GaborSystem, x) -> np.ndarray:
     """<x, M_l T_k g> of an (..., n) array as (..., n/a, n/b): folding the
     time axis with period n/b samples the frequencies at bZ_n."""
     m = sys.n // sys.b
-    prod = np.asarray(x)[..., None, :] * _shift_table(sys, window)
+    prod = np.asarray(x)[..., None, :] * _shift_table(sys)
     return np.fft.fft(prod.reshape(prod.shape[:-1] + (sys.b, m)).sum(axis=-2), axis=-1)
 
 
@@ -86,7 +86,7 @@ def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     w = _shift_table(sys)
     t = np.arange(n)
     same_class = (t[:, None] - t[None, :]) % m == 0
-    return OperatorMatrix(n, np.where(same_class, m * (w.T.conj() @ w), 0.0))
+    return OperatorMatrix(np.where(same_class, m * (w.T.conj() @ w), 0.0))
 
 
 def frame_bounds(sys: GaborSystem) -> tuple:

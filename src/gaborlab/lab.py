@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fio import build_easy_fio, build_hard_fio, oscillatory, quadratic_phase_table
+from .fio import fio_operator, oscillatory, quadratic_phase_table
 from .mixednorm import (
     CLASSES,
     ExponentVector,
@@ -179,6 +179,8 @@ class ExperimentConfig:
     control_arm: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.theorem_id, str):
+            raise ConfigError(f"theorem_id must be a theorem id string, got {self.theorem_id!r}")
         if self.theorem_id not in THEOREMS and self.theorem_id not in SHARPNESS:
             raise ConfigError(f"unknown theorem id {self.theorem_id!r}")
         if not isinstance(self.n_values, (list, tuple)):
@@ -229,12 +231,13 @@ class ExperimentConfig:
         if not isinstance(self.control_arm, bool):
             raise ConfigError(f"control_arm must be a bool, got {self.control_arm!r}")
         if self.theorem_id in SHARPNESS:
+            # The control arm is the run that raises no slot; --control is an empty raise.
             slots = self.raise_slots
             if slots is None:
-                slots = SHARPNESS[self.theorem_id][1]
+                slots = {} if self.control_arm else SHARPNESS[self.theorem_id][1]
             elif not isinstance(slots, dict):
                 raise ConfigError(f"raise_slots must be a mapping, got {slots!r}")
-            elif self.control_arm:
+            elif slots and self.control_arm:
                 raise ConfigError("raise_slots and control_arm exclude each other")
             base, checked = spec.exps(self.p), {}
             for slot, q in slots.items():
@@ -254,6 +257,7 @@ class ExperimentConfig:
                     )
                 checked[slot] = q
             object.__setattr__(self, "raise_slots", checked)
+            object.__setattr__(self, "control_arm", not checked)
         elif self.raise_slots is not None or self.control_arm:
             raise ConfigError(
                 "raise_slots and control_arm only apply to SHARP-* experiments")
@@ -265,9 +269,8 @@ class ExperimentConfig:
 
     def exponents(self) -> ExponentVector:
         base = list(THEOREMS[self.base_theorem].exps(self.p))
-        if self.theorem_id in SHARPNESS and not self.control_arm:
-            for slot, q in self.raise_slots.items():
-                base[slot - 1] = q
+        for slot, q in (self.raise_slots or {}).items():
+            base[slot - 1] = q
         return ExponentVector(tuple(base))
 
 
@@ -378,7 +381,7 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
     sym = gen_ensemble("gaussian-symbol", n, rng, rank=rank)
     meta = {}
     if spec.form == "kernel":
-        return OperatorMatrix(n, sym.values), sym.values, meta
+        return OperatorMatrix(sym.values), sym.values, meta
 
     if spec.phase == "random":
         phase = gen_ensemble("random-phase", n, rng, rank=rank)
@@ -386,7 +389,7 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
     else:
         qp = gen_ensemble("quadratic-phase", n, rng, rank=rank,
                           zero_mixed=(spec.phase == "quadratic-zero-mixed"))
-        phase = quadratic_phase_table(qp, rank, n)
+        phase = quadratic_phase_table(qp, n)
         meta["phase"] = spec.phase
         if rank == 2:
             meta["det_mixed_block"] = float(qp.m[0, 1])
@@ -394,9 +397,9 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
             block = np.array([[qp.m[0, 1], qp.m[0, 2]], [qp.m[1, 2], qp.m[2, 2]]])
             meta["det_nondegeneracy_block"] = float(np.linalg.det(block))
 
-    op = (build_easy_fio if spec.form == "easy" else build_hard_fio)(sym, phase)
-    obj = sym.values if spec.norm_object == "bare" else oscillatory(sym, phase)
-    return op, obj, meta
+    prod = oscillatory(sym, phase)
+    obj = sym.values if spec.norm_object == "bare" else prod
+    return fio_operator(prod), obj, meta
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +456,18 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
 
 def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
                       exps: ExponentVector) -> float:
-    """Mixed modulation norm of a tensor product, computed factor by factor.
-
-    `factors` lists (array, axes) pairs; `axes` are the 1-based product
-    axes that the array's own axes fill, in order, and together they
-    partition 1..rank.  Exact because the STFT of a tensor product against
-    a tensor-power window splits axis by axis, so nested contractions factor.
-    """
-    rank = sum(len(axes) for _, axes in factors)
-    if sorted(a for _, axes in factors for a in axes) != list(range(1, rank + 1)):
-        raise ValueError(f"factor axes must partition 1..{rank}")
-    norm = 1.0
-    for arr, axes in factors:
-        # Product time axis a and frequency axis rank + a become the
-        # factor's own axes j and len(axes) + j; levels keep their order.
-        local = {}
-        for j, a in enumerate(axes, start=1):
-            local[a] = j
-            local[rank + a] = len(axes) + j
+    """Mixed modulation norm of the tensor product of the arrays `factors`,
+    whose axes fill the product's axes in order, computed factor by factor: the
+    STFT against a tensor-power window splits axis by axis, so nested contractions factor."""
+    rank = sum(np.ndim(arr) for arr in factors)
+    norm, first = 1.0, 0
+    for arr in factors:
+        # Product time axis first + j and frequency axis rank + first + j
+        # become the factor's own axes j and r + j; levels keep their order.
+        r = np.ndim(arr)
+        local = {offset + first + j: shift + j for j in range(1, r + 1)
+                 for offset, shift in ((0, 0), (rank, r))}
+        first += r
         levels = [lv for lv, axis in enumerate(c.image) if axis in local]
         perm = Permutation(tuple(local[c.image[lv]] for lv in levels))
         sub = ExponentVector(tuple(exps.exps[lv] for lv in levels))
@@ -488,14 +485,14 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
     def trial(n, window, rng):
         ones = np.ones(n, dtype=np.complex128)
         if cfg.base_theorem == "T2.9":
-            op = OperatorMatrix(n, np.outer(ones, ones))
-            factors = [(ones, (1,)), (ones, (2,))]
+            op = OperatorMatrix(np.outer(ones, ones))
+            factors = [ones, ones]
         else:
             # Hard form with symbol b1(x, y) (x) 1(xi) and zero phase: summing
             # out xi leaves the kernel sqrt(n) * b1.
             b1 = gen_ensemble("gaussian-symbol", n, rng, rank=2).values
-            op = OperatorMatrix(n, np.sqrt(n) * b1)
-            factors = [(b1, (1, 2)), (ones, (3,))]
+            op = OperatorMatrix(np.sqrt(n) * b1)
+            factors = [b1, ones]
         return (schatten_norm(op, cfg.p),
                 tensor_mixed_norm(factors, window, cfg.permutation, exps),
                 {"arm": arm})

@@ -1,4 +1,4 @@
-"""Dense operator matrices, symbol/phase tables and quadratic phases on Z_n.
+"""Dense operator matrices, symbol/phase tables and quadratic phases on Z_n^d.
 
 Phases are stored in cycles: a phase table psi holds real values and the
 operator builders use exp(2 pi i psi).
@@ -15,23 +15,20 @@ __all__ = ["OperatorMatrix", "SymbolTable", "PhaseTable", "QuadraticPhase"]
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix mapping signals on Z_n to signals on Z_n."""
+    """Dense N x N matrix acting on signals on Z_n^d, N = n^d."""
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=np.complex128)
-        if ent.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}")
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+            raise ValueError(f"entries must be a square matrix, got shape {ent.shape}")
         if not np.all(np.isfinite(ent)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", ent)
 
 
 def _check_table(n: int, rank: int, values, dtype) -> np.ndarray:
-    if rank not in (2, 3):
-        raise ValueError("rank must be 2 or 3")
     vals = np.asarray(values, dtype=dtype)
     if vals.shape != (n,) * rank:
         raise ValueError(f"values must have shape {(n,) * rank}")
@@ -42,7 +39,7 @@ def _check_table(n: int, rank: int, values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Complex symbol a(x, xi) (rank 2) or b(x, y, xi) (rank 3)."""
+    """Complex symbol, e.g. a(x, xi) (rank 2) or b(x, y, xi) (rank 3)."""
 
     n: int
     rank: int

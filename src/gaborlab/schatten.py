@@ -40,7 +40,7 @@ def pair_functional(a: OperatorMatrix, fs, gs, p: float) -> float:
         raise ValueError(f"exponent must be >= 1, got {p}")
     fs = np.asarray(fs, dtype=np.complex128)
     gs = np.asarray(gs, dtype=np.complex128)
-    if fs.shape != gs.shape or fs.ndim != 2 or fs.shape[1] != a.n:
+    if fs.shape != gs.shape or fs.ndim != 2 or fs.shape[1] != a.entries.shape[1]:
         raise ValueError("fs and gs must be equal-length lists of C^n vectors")
     _check_orthonormal(fs, "fs")
     _check_orthonormal(gs, "gs")

@@ -74,4 +74,4 @@ def array_from_dict(payload: dict) -> np.ndarray:
 def matrix_from_dict(payload: dict) -> OperatorMatrix:
     vals = _complex_from(payload)
     n = _size(payload.get("n", 0), "n") or int(round(np.sqrt(vals.size)))
-    return OperatorMatrix(n, vals.reshape(n, n))
+    return OperatorMatrix(vals.reshape(n, n))

@@ -71,12 +71,9 @@ class FiniteSignal:
         return FiniteSignal(self.n, self.dim, alpha * self.values)
 
 
-def delta(n: int, dim: int = 1, at=0) -> FiniteSignal:
-    """Point mass at `at` (scalar or index tuple)."""
-    vals = np.zeros((n,) * dim, dtype=np.complex128)
-    idx = (at,) * dim if np.isscalar(at) else tuple(at)
-    vals[idx] = 1.0
-    return FiniteSignal(n, dim, vals)
+def delta(n: int) -> FiniteSignal:
+    """Point mass at 0 on Z_n."""
+    return FiniteSignal(n, 1, np.eye(1, n))
 
 
 def periodized_gaussian(n: int) -> FiniteSignal:

@@ -180,7 +180,7 @@ def test_criterion_07_schatten_suite():
     ok = True
 
     def rand_matrix(n):
-        return OperatorMatrix(n, rng.standard_normal((n, n))
+        return OperatorMatrix(rng.standard_normal((n, n))
                               + 1j * rng.standard_normal((n, n)))
 
     def rand_unitary(n):
@@ -239,7 +239,7 @@ def test_criterion_09_sharpness():
     ref = mixed_modulation_norm(b.values, w, c, exps)
     for q in ([2, -1, 3], [0, 5, -4]):
         aff = QuadraticPhase(0.7, np.array(q), np.zeros((3, 3), dtype=int))
-        mod = oscillatory(b, quadratic_phase_table(aff, 3, n))
+        mod = oscillatory(b, quadratic_phase_table(aff, n))
         ok = ok and abs(mixed_modulation_norm(mod, w, c, exps) - ref) <= 1e-10 * ref
     _report(9, "sharpness and modulation absorption", ok)
 

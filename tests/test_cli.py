@@ -244,9 +244,12 @@ def test_verify_wrong_length_perm_exits_one(capsys, theorem, perm):
     ("n_values", "8"),
     ("permutation", 5),
     ("permutation", "1,3,2,4"),
+    ("theorem_id", ["T3.1"]),
+    ("theorem_id", 31),
 ], ids=["trials-2.5", "trials-true", "seed-1.5", "p-true", "n-4.7", "n-8.0",
         "ceiling-x", "ceiling-nan", "floor-inf", "floor-null", "perm-1.9",
-        "perm-string", "n-5", "n-text", "perm-5", "perm-text"])
+        "perm-string", "n-5", "n-text", "perm-5", "perm-text", "theorem-list",
+        "theorem-int"])
 def test_verify_config_value_types(tmp_path, capsys, key, value):
     cfg = tmp_path / "exp.json"
     fields = {"theorem_id": "T3.1", "n_values": [8], "trials": 2, "seed": 9}
@@ -397,6 +400,17 @@ def test_raise_slots_from_file_match_flags(tmp_path, capsys, raise_slots):
     assert from_file == from_flags
     exps = from_file[0]["exponents"]
     assert exps[4] == "inf" and exps[0] == ("3.0" if "1" in raise_slots else "2.0")
+
+
+def test_empty_raise_slots_run_the_control_arm(tmp_path, capsys):
+    """A config that raises no slot runs, and reports, the control arm."""
+    cfg = tmp_path / "exp.json"
+    dump_json({"raise_slots": {}}, cfg)
+    argv = ["sharpness", "--theorem", "SHARP-T4.3", "--n", "8,16", "--p", "2"]
+    empty = _summary_and_csv(tmp_path, capsys, "empty", [*argv, "--config", str(cfg)])
+    control = _summary_and_csv(tmp_path, capsys, "control", [*argv, "--control"])
+    assert empty == control
+    assert empty[0]["control_arm"] is True
 
 
 def test_memory_error_exits_one(monkeypatch, capsys):

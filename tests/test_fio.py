@@ -8,6 +8,7 @@ from gaborlab.fio import (
     build_easy_fio,
     build_hard_fio,
     dft_matrix,
+    fio_operator,
     fio_slice_family,
     oscillatory,
     quadratic_phase_table,
@@ -98,6 +99,19 @@ class TestAssembly:
         with pytest.raises(ValueError):
             build_hard_fio(a, phi)
 
+    @pytest.mark.parametrize("rank,oracle", [(2, easy_fio_oracle), (3, hard_fio_oracle)])
+    def test_fio_operator_form_follows_rank(self, rank, oracle):
+        sym, phase = _tables(8, rank, 40 + rank)
+        got = fio_operator(oscillatory(sym, phase)).entries
+        assert np.max(np.abs(got - oracle(sym, phase))) <= 1e-12 * 8
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_fio_operator_rejects_other_ranks(self, rank):
+        prod = oscillatory(*_tables(3, rank, 0))  # tables of any rank construct
+        assert prod.shape == (3,) * rank
+        with pytest.raises(ValueError, match="rank 2 or 3"):
+            fio_operator(prod)
+
     def test_oscillatory_rejects_mismatched_tables(self):
         a, _ = _tables(8, 2, 0)
         _, psi = _tables(8, 3, 0)
@@ -136,9 +150,9 @@ class TestChirps:
 
 class TestQuadraticPhase:
     def test_table_matches_direct_formula(self):
-        n, rank = 6, 2
+        n = 6
         qp = QuadraticPhase(0.25, np.array([1, -2]), np.array([[2, 3], [3, -4]]))
-        table = quadratic_phase_table(qp, rank, n).values
+        table = quadratic_phase_table(qp, n).values
         for w in np.ndindex(n, n):
             wv = np.array(w, dtype=float)
             want = (0.25 + qp.q @ wv / n + wv @ qp.m @ wv / (2 * n)) % 1.0
@@ -156,7 +170,7 @@ class TestQuadraticPhase:
         base = mixed_modulation_norm(b.values, w, c, exps)
         for q in ([1, 0, 2], [-3, 4, 0]):
             aff = QuadraticPhase(0.3, np.array(q), np.zeros((3, 3), dtype=int))
-            phase = quadratic_phase_table(aff, 3, n)
+            phase = quadratic_phase_table(aff, n)
             got = mixed_modulation_norm(oscillatory(b, phase), w, c, exps)
             assert abs(got - base) <= 1e-10 * base
 

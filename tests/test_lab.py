@@ -207,6 +207,15 @@ class TestRatioExperiment:
             rep = ratio_experiment(cfg)
             assert rep.all_finite() and rep.records[0].ratio > 0
 
+    @pytest.mark.parametrize("theorem", ["T3.1", "T3.2"])
+    def test_product_formed_once_per_trial(self, monkeypatch, theorem):
+        # The operator and the norm object share one symbol-phase product.
+        calls, unit_table = [], PhaseTable.unit_table
+        monkeypatch.setattr(PhaseTable, "unit_table",
+                            lambda table: calls.append(table) or unit_table(table))
+        ratio_experiment(ExperimentConfig(theorem_id=theorem, n_values=(8,), trials=3))
+        assert len(calls) == 3
+
 
 class TestExactIdentities:
     """Closed forms that pin the STFT's n^(-d/2) normalisation exactly."""
@@ -233,7 +242,7 @@ class TestExactIdentities:
         for p in (1.0, 1.25, 1.5, 2.0):
             mixed = mixed_modulation_norm(eye, g, Permutation((1, 3, 2, 4)),
                                           ExponentVector((2.0, 2.0, p, p)))
-            ratio = schatten_norm(OperatorMatrix(n, eye), p) / mixed
+            ratio = schatten_norm(OperatorMatrix(eye), p) / mixed
             assert abs(ratio - n ** (0.5 - 1.0 / p)) <= 1e-12, (p, ratio)
 
 
@@ -285,6 +294,36 @@ class TestSharpnessExperiment:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestSharpnessClosedForms:
+    """With the delta window every trial's ratio is an exact power of n.
+    SHARP-T2.9's all-ones kernel has S^p norm n and an STFT of modulus 1/n.
+    At p = 2, SHARP-T4.3/T4.4 divide ||sqrt(n) b1||_S2 = sqrt(n) ||b1||_2 by
+    ||b1||_2 (Moyal) times the norm of the constant xi factor: n^(-1/2) when
+    violated, n^(1/2) in the control arm.  At p = 1.5 their ratios depend on
+    the draw, so they get no case here."""
+
+    @staticmethod
+    def _ratios(theorem, n_values, p, control):
+        cfg = ExperimentConfig(theorem_id=theorem, n_values=n_values, p=p, trials=2,
+                               seed=11, control_arm=control)
+        return [(r.n, r.ratio) for r in sharpness_experiment(cfg).records]
+
+    @pytest.mark.parametrize("control", [False, True], ids=["violated", "control"])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+    def test_sharp_t29(self, p, control):
+        # Violated: n / n^(-1/2) at every p.  Control: n / n^(2/p).
+        power = 1.0 - 2.0 / p if control else 1.5
+        for n, ratio in self._ratios("SHARP-T2.9", (8, 12, 16, 32, 64), p, control):
+            assert abs(ratio - n ** power) <= 1e-12 * n ** power, (n, ratio)
+
+    @pytest.mark.parametrize("control", [False, True], ids=["violated", "control"])
+    @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
+    def test_hard_families_at_p_two(self, theorem, control):
+        power = 0.0 if control else 1.0
+        for n, ratio in self._ratios(theorem, (8, 12, 16, 32), 2.0, control):
+            assert abs(ratio - n ** power) <= 1e-12 * n ** power, (n, ratio)
+
+
 class TestTensorMixedNorm:
     """The factored norm against the full norm of the materialised product."""
 
@@ -303,8 +342,7 @@ class TestTensorMixedNorm:
         window = make_window("gaussian-sampled", n)
         for cfg in self._arms(theorem, n, 1.5):
             exps = cfg.exponents()
-            got = tensor_mixed_norm([(b1, (1, 2)), (b2, (3,))], window,
-                                    cfg.permutation, exps)
+            got = tensor_mixed_norm([b1, b2], window, cfg.permutation, exps)
             want = mixed_modulation_norm(full, window, cfg.permutation, exps)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -315,15 +353,9 @@ class TestTensorMixedNorm:
         perm = Permutation((1, 3, 2, 4))
         for cfg in self._arms("SHARP-T2.9", n, 1.5):
             exps = cfg.exponents()
-            got = tensor_mixed_norm([(ones, (1,)), (ones, (2,))], window, perm, exps)
+            got = tensor_mixed_norm([ones, ones], window, perm, exps)
             want = mixed_modulation_norm(np.outer(ones, ones), window, perm, exps)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
-
-    def test_axes_must_partition(self):
-        ones = np.ones(4, dtype=np.complex128)
-        with pytest.raises(ValueError, match="partition"):
-            tensor_mixed_norm([(ones, (1,)), (ones, (1,))], make_window("delta", 4),
-                              Permutation((1, 3, 2, 4)), ExponentVector((2.0,) * 4))
 
 
 class TestMultiplicationExperiment:

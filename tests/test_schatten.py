@@ -9,7 +9,7 @@ from gaborlab.schatten import pair_functional, schatten_norm, singular_values
 
 def _random_matrix(n, seed):
     rng = np.random.default_rng(seed)
-    return OperatorMatrix(n, rng.standard_normal((n, n))
+    return OperatorMatrix(rng.standard_normal((n, n))
                           + 1j * rng.standard_normal((n, n)))
 
 
@@ -22,8 +22,24 @@ def _random_unitary(n, seed):
 
 class TestSpectrum:
     def test_diagonal_matrix(self):
-        a = OperatorMatrix(3, np.diag([3.0, -1.0, 2.0]).astype(complex))
+        a = OperatorMatrix(np.diag([3.0, -1.0, 2.0]).astype(complex))
         assert np.allclose(singular_values(a), [3.0, 2.0, 1.0])
+
+
+class TestOperatorMatrix:
+    def test_d2_operator(self):
+        # A 16 x 16 operator on Z_4^2.  The singular values of a Kronecker
+        # product are the products of its factors', so its S^p norms multiply.
+        a, b = _random_matrix(4, 1), _random_matrix(4, 2)
+        ab = OperatorMatrix(np.kron(a.entries, b.entries))
+        for p in (1.0, 1.5, 2.0, np.inf):
+            want = schatten_norm(a, p) * schatten_norm(b, p)
+            assert schatten_norm(ab, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 3, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            OperatorMatrix(np.zeros(shape))
 
 
 class TestSchattenNorm:
@@ -48,7 +64,7 @@ class TestSchattenNorm:
         a = _random_matrix(8, 50 + seed)
         u = _random_unitary(8, 60 + seed)
         v = _random_unitary(8, 70 + seed)
-        b = OperatorMatrix(8, u @ a.entries @ v)
+        b = OperatorMatrix(u @ a.entries @ v)
         for p in (1.0, 1.5, 2.0):
             assert abs(schatten_norm(a, p) - schatten_norm(b, p)) <= 1e-10
 
@@ -87,7 +103,7 @@ class TestPairFunctional:
 
     def test_diagonal_with_standard_basis(self):
         d = np.array([3.0, 1.0, 2.0])
-        a = OperatorMatrix(3, np.diag(d).astype(complex))
+        a = OperatorMatrix(np.diag(d).astype(complex))
         basis = np.eye(3, dtype=complex)
         val = pair_functional(a, basis, basis, 1.0)
         assert np.isclose(val, d.sum())

@@ -41,7 +41,7 @@ def test_signal_round_trip(n, dim, data):
 @given(st.integers(1, 5), st.data())
 @settings(max_examples=50, deadline=None)
 def test_matrix_round_trip(n, data):
-    a = OperatorMatrix(n, complex_values(data.draw, n * n).reshape(n, n))
+    a = OperatorMatrix(complex_values(data.draw, n * n).reshape(n, n))
     payload = {"n": n, "re": a.entries.real.tolist(), "im": a.entries.imag.tolist()}
     np.testing.assert_array_equal(matrix_from_dict(through_json(payload)).entries,
                                   a.entries)
