@@ -32,6 +32,7 @@ from .mixednorm import (
     ExponentVector,
     Permutation,
     mixed_modulation_norm,
+    planned_bytes,
     satisfies_blocks,
 )
 from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
@@ -407,11 +408,32 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _available_bytes():
+    """MemAvailable from /proc/meminfo, in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _run_trials(cfg: ExperimentConfig, label: str, exps: ExponentVector,
-                trial) -> Report:
+                trial, norms) -> Report:
     """The seeded loop every experiment runs: one window per n, one
     generator per (n, trial), and `trial(n, window, rng)` returning
-    (schatten, mixednorm, metadata) for that draw."""
+    (schatten, mixednorm, metadata) for that draw.  `norms` lists the
+    (permutation, exponents) of every mixed modulation norm a trial takes;
+    a size whose largest planned array exceeds the available memory is
+    refused before the first trial."""
+    available = _available_bytes()
+    for n in cfg.n_values:
+        need = max(planned_bytes(n, len(c) // 2, c, e) for c, e in norms)
+        if available is not None and need > available:
+            raise ConfigError(f"n = {n} needs a {need}-byte array, more than the "
+                              f"{available} bytes of memory available")
     records, per_n = [], {}
     for n in cfg.n_values:
         window = make_window(cfg.window_kind, n, cfg.seed)
@@ -451,7 +473,26 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
                 mixed_modulation_norm(obj, window, cfg.permutation, exps), meta)
 
     label = "MULT" if cfg.theorem_id == "T4.2a" else cfg.theorem_id
-    return _run_trials(cfg, label, exps, trial)
+    norms = [(cfg.permutation, exps)]
+    if cfg.theorem_id == "T4.2a":
+        norms.append((Permutation.identity(2), ExponentVector((INF, 1.0))))
+    return _run_trials(cfg, label, exps, trial, norms)
+
+
+def _factor_norms(ranks, c: Permutation, exps: ExponentVector) -> list:
+    """(permutation, exponents) of each tensor factor's own norm, for
+    factors of the given ranks whose axes fill the product's axes in order."""
+    rank, first, out = sum(ranks), 0, []
+    for r in ranks:
+        # Product time axis first + j and frequency axis rank + first + j
+        # become the factor's own axes j and r + j; levels keep their order.
+        local = {offset + first + j: shift + j for j in range(1, r + 1)
+                 for offset, shift in ((0, 0), (rank, r))}
+        first += r
+        levels = [lv for lv, axis in enumerate(c.image) if axis in local]
+        out.append((Permutation(tuple(local[c.image[lv]] for lv in levels)),
+                    ExponentVector(tuple(exps.exps[lv] for lv in levels))))
+    return out
 
 
 def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
@@ -459,18 +500,8 @@ def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
     """Mixed modulation norm of the tensor product of the arrays `factors`,
     whose axes fill the product's axes in order, computed factor by factor: the
     STFT against a tensor-power window splits axis by axis, so nested contractions factor."""
-    rank = sum(np.ndim(arr) for arr in factors)
-    norm, first = 1.0, 0
-    for arr in factors:
-        # Product time axis first + j and frequency axis rank + first + j
-        # become the factor's own axes j and r + j; levels keep their order.
-        r = np.ndim(arr)
-        local = {offset + first + j: shift + j for j in range(1, r + 1)
-                 for offset, shift in ((0, 0), (rank, r))}
-        first += r
-        levels = [lv for lv, axis in enumerate(c.image) if axis in local]
-        perm = Permutation(tuple(local[c.image[lv]] for lv in levels))
-        sub = ExponentVector(tuple(exps.exps[lv] for lv in levels))
+    norm = 1.0
+    for arr, (perm, sub) in zip(factors, _factor_norms([np.ndim(a) for a in factors], c, exps)):
         norm *= mixed_modulation_norm(arr, window, perm, sub)
     return norm
 
@@ -481,6 +512,7 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
         raise ConfigError(f"{cfg.theorem_id} is not a sharpness experiment id")
     exps = cfg.exponents()
     arm = "control" if cfg.control_arm else "violated"
+    ranks = (1, 1) if cfg.base_theorem == "T2.9" else (2, 1)
 
     def trial(n, window, rng):
         ones = np.ones(n, dtype=np.complex128)
@@ -497,7 +529,8 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
                 tensor_mixed_norm(factors, window, cfg.permutation, exps),
                 {"arm": arm})
 
-    return _run_trials(cfg, cfg.theorem_id, exps, trial)
+    return _run_trials(cfg, cfg.theorem_id, exps, trial,
+                       _factor_norms(ranks, cfg.permutation, exps))
 
 
 def _config_extra(cfg: ExperimentConfig, exps: ExponentVector) -> dict:

@@ -11,6 +11,13 @@ saying that those axes are contracted at exactly those levels.  One rule
 lifts a pair to any d: axis or level s stands for the block
 (s - 1) d + 1, ..., s d.  A permutation of length rank * d belongs to a
 class when every lifted pair holds.
+
+mixed_modulation_norm transforms only the variables its norm needs.  By
+Moyal's identity, an l^2 sum over both axes (k_j, l_j) of a set v of
+variables equals ||g||^|v| times the l^2 norm over their untransformed
+points t_v, so those variables are never transformed.  At rank >= 3 a
+time axis contracted outermost is looped over, and each slab is reduced as
+soon as it is built.  Otherwise the full STFT is taken.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .signals import FiniteSignal, stft
+from .signals import FiniteSignal, shifted_window, stft, stft_axis
 
 __all__ = [
     "Permutation",
@@ -31,6 +38,7 @@ __all__ = [
     "classify_permutation",
     "mixed_norm",
     "mixed_modulation_norm",
+    "planned_bytes",
     "tensor_window",
 ]
 
@@ -155,13 +163,18 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("array entries must be finite")
-    # Reverse the level order so each contraction runs over the last
-    # (contiguous) axis: level j's axis c(j) sits at position -1 when its
-    # turn comes.
-    a = np.abs(np.transpose(a, axes=[cj - 1 for cj in reversed(c.image)]))
+    return float(_contract(np.abs(a), [cj - 1 for cj in c.image], exps))
+
+
+def _contract(a: np.ndarray, axes, exps):
+    """Nested l^p norms of the non-negative array a: level j contracts axis
+    axes[j] with exps[j]."""
+    # Reverse the level order so each contraction runs over the last axis:
+    # level j's axis sits at position -1 when its turn comes.
+    a = np.transpose(a, axes=axes[::-1])
     for p in exps:
         a = lp_norm(a, p)
-    return float(a)
+    return a
 
 
 def tensor_window(window: FiniteSignal, rank: int) -> FiniteSignal:
@@ -172,16 +185,79 @@ def tensor_window(window: FiniteSignal, rank: int) -> FiniteSignal:
     return FiniteSignal(window.n, rank, grid.ravel())
 
 
+def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
+    """(u, v, slab) for a rank-r norm; variables are numbered from 0.
+
+    v is the largest set of variables whose time and frequency axes fill
+    the innermost 2|v| levels, every one with exponent 2; u holds the other
+    variables, in the order they are transformed.  slab says that u has at
+    least 3 variables and the outermost level contracts the time axis of
+    u[-1], whose time shifts are then looped over."""
+    v, seen = [], set()
+    for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
+        if p != 2.0:
+            break
+        seen.add((axis - 1) % rank)
+        if level == 2 * len(seen):  # these levels hold both axes of each variable seen
+            v = sorted(seen)
+    u = [j for j in range(rank) if j not in v]
+    outer = c.image[-1] - 1
+    slab = len(u) >= 3 and outer < rank
+    if slab:
+        u.remove(outer)
+        u.append(outer)
+    return u, v, slab
+
+
+def planned_bytes(n: int, rank: int, c: Permutation, exps: ExponentVector) -> int:
+    """Bytes of the largest complex array mixed_modulation_norm builds for a
+    rank-r object on Z_n: n^(2|u| + |v|) entries, one axis fewer for a slab."""
+    u, v, slab = _plan(rank, c, exps)
+    return 16 * n ** (2 * len(u) + len(v) - slab)
+
+
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
                           exps: ExponentVector) -> float:
     """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array,
-    against the tensor-power window."""
+    against the tensor-power window, taking only the transforms _plan keeps."""
     if not isinstance(obj, FiniteSignal):
         if np.shape(obj) != (window.n,) * np.ndim(obj):
             raise ValueError(f"array of shape {np.shape(obj)} is not (n,)*r, n = {window.n}")
         obj = FiniteSignal(window.n, np.ndim(obj), obj)
     if window.n != obj.n:
         raise ValueError("window group size does not match")
-    if len(c) != 2 * obj.dim:
-        raise ValueError(f"permutation must have length {2 * obj.dim}")
-    return mixed_norm(stft(obj, window), c, exps)
+    n, r = obj.n, obj.dim
+    if len(c) != 2 * r or len(exps) != 2 * r:
+        raise ValueError(f"permutation and exponents must have length {2 * r}")
+    u, v, slab = _plan(r, c, exps)
+    if not v and not slab:
+        return mixed_norm(stft(obj, window), c, exps)
+
+    # The array built below holds (k, l) of u[i] at axes 2i, 2i + 1, then
+    # the points t_v flat; a slab fixes k of u[-1] and drops its axis.
+    pos = {}
+    for i, j in enumerate(u):
+        pos[j], pos[r + j] = 2 * i, 2 * i + 1
+    if slab:
+        pos[r + u[-1]] = 2 * len(u) - 2
+    levels = list(zip(c.image, exps))[2 * len(v):2 * r - slab]
+    axes, level_exps = [pos[axis - 1] for axis, _ in levels], [p for _, p in levels]
+    points = n ** len(v)
+
+    def contract(arr):
+        a = np.abs(arr.reshape(-1, points))
+        if v:
+            a = lp_norm(a, 2.0)
+        return _contract(a.reshape((n,) * len(axes)), axes, level_exps)
+
+    rows = shifted_window(window)
+    arr = obj.grid.transpose(u + v)
+    for i in range(len(u) - slab):
+        arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
+    if slab:
+        before = n ** (2 * len(u) - 2)
+        norm = lp_norm(np.array([contract(stft_axis(arr, rows[k:k + 1], before, points))
+                                 for k in range(n)]), exps.exps[-1])
+    else:
+        norm = contract(arr)
+    return float(norm) * window.norm() ** len(v)

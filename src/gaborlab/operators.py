@@ -21,8 +21,8 @@ class OperatorMatrix:
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=np.complex128)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {ent.shape}")
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1] or ent.size == 0:
+            raise ValueError(f"entries must be a nonempty square matrix, got shape {ent.shape}")
         if not np.all(np.isfinite(ent)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", ent)

@@ -118,6 +118,23 @@ def dft(f: FiniteSignal) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, out)
 
 
+def shifted_window(g: FiniteSignal) -> np.ndarray:
+    """The (n, n) array w[k, t] = n^(-1/2) conj g(t - k) of a 1-D window."""
+    t = np.arange(g.n)
+    return np.conj(g.values)[(t[None, :] - t[:, None]) % g.n] * g.n ** -0.5
+
+
+def stft_axis(arr: np.ndarray, rows: np.ndarray, before: int, after: int) -> np.ndarray:
+    """One variable's STFT.  `arr` holds before * n * after entries, its
+    middle axis being a time axis t; `rows` is shifted_window's w, or the
+    rows of it for the time shifts k wanted.  Returns the (before, K, n,
+    after) array V[., k, l, .] = sum_t arr[., t, .] w[k, t] e^(-2 pi i l t / n)."""
+    n = rows.shape[1]
+    out = arr.reshape(before, 1, n, after) * rows[:, :, None]
+    np.fft.fft(out, axis=2, out=out)
+    return out
+
+
 def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
     """Short-time Fourier transform V_g f(k, l) = n^(-d/2) <f, M_l T_k g>,
     as an (n,)*2d array indexed (k_1, ..., k_d, l_1, ..., l_d).
@@ -128,21 +145,20 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
     if f.n != g.n:
         raise ValueError("signal and window live on different groups")
     n, d = f.n, f.dim
-    t = np.arange(n)
-    idx = (t[None, :] - t[:, None]) % n  # idx[k, t] = (t - k) mod n
     if g.dim == 1:
-        w = np.conj(g.values)[idx] * n ** -0.5
+        rows = shifted_window(g)
         arr = f.values
         for j in range(d):
             # arr is (k_1, l_1, ..., k_j, l_j, t_{j+1}, ..., t_d), flat.
-            arr = arr.reshape(n ** (2 * j), 1, n, n ** (d - j - 1)) * w[:, :, None]
-            np.fft.fft(arr, axis=2, out=arr)
+            arr = stft_axis(arr, rows, n ** (2 * j), n ** (d - j - 1))
         order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
         return arr.reshape((n,) * (2 * d)).transpose(order)
     if g.dim != d:
         raise ValueError(f"window dimension {g.dim} is neither 1 nor {d}")
     # General window: gather conj(g)(t - k) through idx on every axis pair
     # (k_j, t_j), then one FFT over the point axes.
+    t = np.arange(n)
+    idx = (t[None, :] - t[:, None]) % n  # idx[k, t] = (t - k) mod n
     gather = tuple(idx.reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - j - 1))
                    for j in range(d))
     h = f.grid * np.conj(g.grid)[gather]

@@ -88,10 +88,14 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     (["dgt", "--input", "{}", "--window", "{w}"], {"n": 4, "re": {"a": 1}}, '"re"'),
     (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 2, "re": [1, 0, 0, 1], "im": {"a": 1}},
      '"im"'),
+    # A matrix has at least one entry, as a signal has at least one value.
+    (["schatten", "--matrix", "{}", "--p", "1.5"], {"re": []}, "nonempty"),
+    (["schatten", "--matrix", "{}", "--p", "1.5"], {"n": 0, "re": [], "im": []}, "nonempty"),
 ], ids=["dgt-list", "dgt-no-n", "dgt-window-no-re", "framebounds-list", "dualwindow-no-n",
         "tightwindow-number", "mixednorm-list", "mixednorm-no-re", "schatten-list",
         "schatten-no-re", "dgt-n-null", "dgt-dim-null", "mixednorm-shape-number",
-        "schatten-n-float", "dgt-re-dict", "schatten-im-dict"])
+        "schatten-n-float", "dgt-re-dict", "schatten-im-dict", "schatten-empty",
+        "schatten-n-zero"])
 def test_malformed_input_file_exits_one(files, capsys, argv, payload, names):
     tmp, w, _ = files
     bad = tmp / "bad.json"

@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+from gaborlab import lab
+from gaborlab.cli import run_cli
 from gaborlab.fio import build_hard_fio
 from gaborlab.lab import (
     SHARPNESS_IDS,
@@ -244,6 +248,78 @@ class TestExactIdentities:
                                           ExponentVector((2.0, 2.0, p, p)))
             ratio = schatten_norm(OperatorMatrix(eye), p) / mixed
             assert abs(ratio - n ** (0.5 - 1.0 / p)) <= 1e-12, (p, ratio)
+
+
+    @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
+    def test_violated_arm_is_n_times_control(self, theorem, p, window):
+        # |V_g 1(k, l)| = |g_hat(l)| for every k, so raising the k_xi level
+        # from l^1 to l^inf divides the constant factor's norm by exactly n.
+        def ratios(control):
+            cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 16), p=p, trials=2,
+                                   seed=6, window_kind=window, control_arm=control)
+            return [(r.n, r.ratio) for r in sharpness_experiment(cfg).records]
+
+        for (n, violated), (_, control) in zip(ratios(False), ratios(True), strict=True):
+            assert abs(violated - n * control) <= 1e-12 * violated, (n, violated, control)
+
+    @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_zero_mixed_ids_repeat_t29(self, p, window):
+        # A zero-mixed quadratic phase multiplies the kernel by unimodular
+        # diagonals, which leave S_p unchanged, and T4.3a/T4.4a take the
+        # norm of the bare symbol that T2.9 draws at the same seed.
+        def ratios(theorem):
+            cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 12), p=p, trials=3,
+                                   seed=8, window_kind=window)
+            return [r.ratio for r in ratio_experiment(cfg).records]
+
+        want = ratios("T2.9")
+        for theorem in ("T4.3a", "T4.4a"):
+            np.testing.assert_allclose(ratios(theorem), want, rtol=1e-12, atol=0)
+
+
+class TestMemoryGuard:
+    """A size whose largest planned array exceeds the available memory is
+    refused before the first trial."""
+
+    def test_oversized_n_refused_before_any_trial(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(lab, "_available_bytes", lambda: 7 * 2 ** 30)
+        monkeypatch.setattr(lab, "_build_trial", lambda *args: pytest.fail("a trial ran"))
+        out = tmp_path / "rows.csv"
+        start = time.perf_counter()
+        code = run_cli(["verify", "--theorem", "T4.4b", "--n", "8,512", "--trials", "1",
+                        "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
+        # T4.4b's slab rule holds two n^5 arrays of complex doubles.
+        assert "n = 512" in err and str(16 * 512 ** 5) in err
+        assert not out.exists()
+
+    def test_sharpness_factors_are_planned(self, monkeypatch):
+        # SHARP-T4.3's b1 factor keeps one untransformed variable: n^3 entries.
+        monkeypatch.setattr(lab, "_available_bytes", lambda: 16 * 64 ** 3)
+        cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 66), trials=1)
+        with pytest.raises(ConfigError, match="n = 66"):
+            sharpness_experiment(cfg)
+
+    def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(lab, "_available_bytes", lambda: None)
+        cfg = ExperimentConfig(theorem_id="T2.9", n_values=(8,), trials=1)
+        assert ratio_experiment(cfg).all_finite()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
+    def test_reads_meminfo(self):
+        assert lab._available_bytes() > 0
+
+    def test_large_sharpness_run_completes(self, capsys):
+        # The b1 factor at n = 256 takes 2^24 entries, where its full STFT
+        # would take 2^32.
+        assert run_cli(["sharpness", "--theorem", "SHARP-T4.3", "--n", "64,128,256",
+                        "--trials", "2"]) == 0
+        assert capsys.readouterr().out.count("SHARP-T4.3,") == 6
 
 
 class TestSharpnessExperiment:

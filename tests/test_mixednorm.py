@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from gaborlab.mixednorm import (
     ExponentVector,
     Permutation,
+    _plan,
     classify_permutation,
     lp_norm,
     mixed_modulation_norm,
     mixed_norm,
+    planned_bytes,
     tensor_window,
 )
 from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal, stft
@@ -270,6 +272,11 @@ class TestMixedModulationNorm:
             mixed_modulation_norm(np.ones((2, 8)), periodized_gaussian(4),
                                   Permutation((1, 3, 2, 4)), ExponentVector((2,) * 4))
 
+    def test_exponents_must_match_rank(self):
+        with pytest.raises(ValueError, match="must have length 4"):
+            mixed_modulation_norm(np.ones((4, 4)), periodized_gaussian(4),
+                                  Permutation((1, 3, 2, 4)), ExponentVector((2,) * 3))
+
     def test_two_norm_is_moyal(self):
         n = 8
         f = random_signal(n, 1, np.random.default_rng(4))
@@ -283,6 +290,116 @@ class TestMixedModulationNorm:
         ones = np.ones(n, dtype=np.complex128)
         v = stft(FiniteSignal(n, 1, ones), delta(n))
         assert np.allclose(np.abs(v), n ** -0.5)
+
+
+def _symbol(kind, n, rank, rng):
+    """Test symbols on Z_n^rank: i.i.d. Gaussian, a point mass, the diagonal
+    tensor (the identity kernel at rank 2) or the DFT kernel
+    e^(-2 pi i x.xi / n) chained over neighbouring variables (a chirp at
+    rank 1)."""
+    t = np.indices((n,) * rank)
+    if kind == "random":
+        return rng.standard_normal((n,) * rank) + 1j * rng.standard_normal((n,) * rank)
+    if kind == "point":
+        return (t == rng.integers(0, n, size=(rank,) + (1,) * rank)).all(axis=0) + 0j
+    if kind == "identity":
+        return (t == t[0]).all(axis=0) + 0j
+    phase = (t[0] ** 2 if rank == 1 else sum(t[j] * t[j + 1] for j in range(rank - 1)))
+    return np.exp(-2j * np.pi * phase / n)
+
+
+def _moyal_case(rng):
+    """(rank, n, permutation, exponents) whose innermost levels hold both
+    axes of a nonempty set of variables, all with exponent 2."""
+    rank = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 13 if rank < 3 else 9))
+    v = rng.permutation(rank)[:rng.integers(1, rank + 1)]
+    inner = list(rng.permutation(np.concatenate([v + 1, v + 1 + rank])))
+    outer = [a for a in rng.permutation(2 * rank) + 1 if a not in inner]
+    exps = [2.0] * len(inner) + [float(rng.choice([1.0, 1.5, 2.0, 2.0, 3.0, INF]))
+                                 for _ in outer]
+    return rank, n, inner + outer, exps
+
+
+def _slab_case(rng):
+    """A rank-3 (permutation, exponents) whose outermost level is a time
+    axis and whose innermost exponent is not 2, so that no variable collapses."""
+    n = int(rng.integers(2, 9))
+    image = list(rng.permutation(6) + 1)
+    time_axis = int(rng.integers(1, 4))
+    image.remove(time_axis)
+    exps = [float(rng.choice([1.0, 1.5, INF]))] + [
+        float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])) for _ in range(5)]
+    return 3, n, image + [time_axis], exps
+
+
+class TestNormPlanner:
+    """Each rule of mixed_modulation_norm's planner against the full STFT
+    with the tensor-power window, which stft gathers in one piece."""
+
+    @staticmethod
+    def _check(case, window, kind, scale, seed):
+        rank, n, image, exps = case
+        rng = np.random.default_rng(seed)
+        g = {"delta": delta(n), "gaussian": periodized_gaussian(n),
+             "random": random_signal(n, 1, rng)}[window]
+        sym = scale * _symbol(kind, n, rank, rng)
+        c, e = Permutation(tuple(int(a) for a in image)), ExponentVector(tuple(exps))
+        got = mixed_modulation_norm(sym, g, c, e)
+        want = mixed_norm(stft(FiniteSignal(n, rank, sym), tensor_window(g, rank)), c, e)
+        assert abs(got - want) <= 1e-12 * want, (case, got, want)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("kind", ["random", "point", "identity", "dft"])
+    @pytest.mark.parametrize("window", ["delta", "gaussian", "random"])
+    def test_moyal_rule_matches_full_stft(self, window, kind, scale):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, len(kind), len(window)])
+            case = _moyal_case(rng)
+            rank, _, image, exps = case
+            assert _plan(rank, Permutation(tuple(int(a) for a in image)),
+                         ExponentVector(tuple(exps)))[1]
+            self._check(case, window, kind, scale, seed)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("kind", ["random", "point", "identity", "dft"])
+    @pytest.mark.parametrize("window", ["delta", "gaussian", "random"])
+    def test_slab_rule_matches_full_stft(self, window, kind, scale):
+        for seed in range(2):
+            rng = np.random.default_rng([seed, len(kind), len(window), 3])
+            case = _slab_case(rng)
+            rank, _, image, exps = case
+            assert _plan(rank, Permutation(tuple(int(a) for a in image)),
+                         ExponentVector(tuple(exps)))[2]
+            self._check(case, window, kind, scale, seed)
+
+    @pytest.mark.parametrize("image,exps,rule,power", [
+        ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1], False), 5),   # T3.2
+        ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF), ([2], [0, 1], False), 4),       # T3.2, p = 2
+        ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # T4.4b
+        ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # T4.5b
+        ((1, 3, 2, 4), (2, 2, 1.5, 1.5), ([1], [0], False), 3),                   # T2.9
+        ((4, 1, 2, 3), (2, 1.5, 1.5, 1.5), ([0, 1], [], False), 4),               # T4.5a
+        ((4, 1, 2, 3), (2, 2, 2, 2), ([], [0, 1], False), 2),                     # T4.5a, p = 2
+        ((1, 2), (2, 1.5), ([0], [], False), 2),                                  # T4.2a
+        ((1, 2), (INF, 1), ([0], [], False), 2),                                  # T4.2a's g
+        ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], [], False), 4),      # l^2 levels, no pair
+        ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1), ([2], [0, 1], False), 4),  # pairs in any order
+    ])
+    def test_plan_of_each_theorem(self, image, exps, rule, power):
+        c, e = Permutation(image), ExponentVector(exps)
+        rank = len(image) // 2
+        assert _plan(rank, c, e) == rule
+        assert planned_bytes(12, rank, c, e) == 16 * 12 ** power
+
+    def test_full_stft_keeps_its_bits(self):
+        # Without an l^2 pair or a slab the norm is mixed_norm of stft, bit for bit.
+        n = 8
+        rng = np.random.default_rng(5)
+        f = random_signal(n, 2, rng)
+        g = random_signal(n, 1, rng)
+        c, e = Permutation((4, 1, 2, 3)), ExponentVector((2, 1.5, 1.5, 1.5))
+        assert mixed_modulation_norm(f, g, c, e) == mixed_norm(stft(f, g), c, e)
 
 
 # Mixed-norm invariants over random small arrays, orders and exponents.

@@ -41,6 +41,10 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError, match="square"):
             OperatorMatrix(np.zeros(shape))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"nonempty .* shape \(0, 0\)"):
+            OperatorMatrix(np.zeros((0, 0)))
+
 
 class TestSchattenNorm:
     @pytest.mark.parametrize("n", [4, 8, 16])
