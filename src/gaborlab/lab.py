@@ -408,16 +408,29 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _available_bytes():
-    """MemAvailable from /proc/meminfo, in bytes; None where it cannot be read."""
+def _read_ints(path, key=""):
+    """The integers on the first line of a small text file that starts with
+    `key`; [] where the file cannot be read or has no such line."""
     try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
+        with open(path) as fh:
+            text = fh.read()
+    except OSError:
+        return []
+    for line in text.splitlines():
+        if line.startswith(key):
+            return [int(tok) for tok in line.split() if tok.isdigit()]
+    return []
+
+
+def _available_bytes():
+    """Bytes of memory available: MemAvailable from /proc/meminfo, capped by
+    this process's cgroup v2 limit where one is set; None where
+    /proc/meminfo cannot be read."""
+    avail = _read_ints("/proc/meminfo", "MemAvailable:")
+    if not avail:
+        return None
+    limit = _read_ints("/sys/fs/cgroup/memory.max")  # "max" when no limit is set
+    return min([avail[0] * 1024, *limit])
 
 
 def _run_trials(cfg: ExperimentConfig, label: str, exps: ExponentVector,
@@ -458,24 +471,26 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
     exps = cfg.exponents()
     spec = THEOREMS[cfg.theorem_id]
 
+    # The (permutation, exponents) of every norm a trial takes: T4.2a
+    # also takes the (inf, 1) norm of g.
+    norms = [(cfg.permutation, exps)]
+    if cfg.theorem_id == "T4.2a":
+        norms.append((Permutation.identity(2), ExponentVector((INF, 1.0))))
+
     def trial(n, window, rng):
         if cfg.theorem_id == "T4.2a":
             f = random_signal(n, 1, rng)
             g = random_signal(n, 1, rng)
             prod = FiniteSignal(n, 1, f.values * g.values)
-            return (mixed_modulation_norm(prod, window, cfg.permutation, exps),
-                    mixed_modulation_norm(f, window, cfg.permutation, exps)
-                    * mixed_modulation_norm(g, window, Permutation.identity(2),
-                                            ExponentVector((INF, 1.0))),
+            return (mixed_modulation_norm(prod, window, *norms[0]),
+                    mixed_modulation_norm(f, window, *norms[0])
+                    * mixed_modulation_norm(g, window, *norms[1]),
                     {})
         op, obj, meta = _build_trial(spec, n, rng)
         return (schatten_norm(op, cfg.p),
-                mixed_modulation_norm(obj, window, cfg.permutation, exps), meta)
+                mixed_modulation_norm(obj, window, *norms[0]), meta)
 
     label = "MULT" if cfg.theorem_id == "T4.2a" else cfg.theorem_id
-    norms = [(cfg.permutation, exps)]
-    if cfg.theorem_id == "T4.2a":
-        norms.append((Permutation.identity(2), ExponentVector((INF, 1.0))))
     return _run_trials(cfg, label, exps, trial, norms)
 
 
@@ -512,21 +527,21 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
         raise ConfigError(f"{cfg.theorem_id} is not a sharpness experiment id")
     exps = cfg.exponents()
     arm = "control" if cfg.control_arm else "violated"
+    # Every trial takes the norm of a tensor product b1 (x) 1 whose factors
+    # have these ranks: the kernel 1 (x) 1 for T2.9, b1(x, y) (x) 1(xi) else.
     ranks = (1, 1) if cfg.base_theorem == "T2.9" else (2, 1)
 
     def trial(n, window, rng):
         ones = np.ones(n, dtype=np.complex128)
-        if cfg.base_theorem == "T2.9":
-            op = OperatorMatrix(np.outer(ones, ones))
-            factors = [ones, ones]
+        if ranks[0] == 1:
+            b1, op = ones, OperatorMatrix(np.outer(ones, ones))
         else:
-            # Hard form with symbol b1(x, y) (x) 1(xi) and zero phase: summing
-            # out xi leaves the kernel sqrt(n) * b1.
-            b1 = gen_ensemble("gaussian-symbol", n, rng, rank=2).values
+            # Hard form with zero phase: summing out xi leaves the kernel
+            # sqrt(n) * b1.
+            b1 = gen_ensemble("gaussian-symbol", n, rng, rank=ranks[0]).values
             op = OperatorMatrix(np.sqrt(n) * b1)
-            factors = [b1, ones]
         return (schatten_norm(op, cfg.p),
-                tensor_mixed_norm(factors, window, cfg.permutation, exps),
+                tensor_mixed_norm([b1, ones], window, cfg.permutation, exps),
                 {"arm": arm})
 
     return _run_trials(cfg, cfg.theorem_id, exps, trial,

@@ -15,9 +15,12 @@ class when every lifted pair holds.
 mixed_modulation_norm transforms only the variables its norm needs.  By
 Moyal's identity, an l^2 sum over both axes (k_j, l_j) of a set v of
 variables equals ||g||^|v| times the l^2 norm over their untransformed
-points t_v, so those variables are never transformed.  At rank >= 3 a
-time axis contracted outermost is looped over, and each slab is reduced as
-soon as it is built.  Otherwise the full STFT is taken.
+points t_v, so those variables are never transformed; when v would hold
+every variable, the norm is the closed form ||F|| ||g||^r, and the STFT is
+taken anyway so that this closed form still checks the transform.  At
+rank >= 3 a time axis contracted outermost is looped over, and each slab is
+reduced as soon as it is built.  Otherwise, and for a window that is not
+one-dimensional, the full STFT is taken.
 """
 
 from __future__ import annotations
@@ -163,15 +166,15 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("array entries must be finite")
-    return float(_contract(np.abs(a), [cj - 1 for cj in c.image], exps))
+    return float(_contract(a, [cj - 1 for cj in c.image], exps))
 
 
 def _contract(a: np.ndarray, axes, exps):
-    """Nested l^p norms of the non-negative array a: level j contracts axis
-    axes[j] with exps[j]."""
-    # Reverse the level order so each contraction runs over the last axis:
-    # level j's axis sits at position -1 when its turn comes.
-    a = np.transpose(a, axes=axes[::-1])
+    """Nested l^p norms of |a|: level j contracts axis axes[j] with exps[j]."""
+    # Reverse the level order so each contraction runs over the last
+    # (contiguous) axis: level j's axis sits at position -1 when its turn
+    # comes.  np.abs writes the transposed view out in that order.
+    a = np.abs(np.transpose(a, axes=axes[::-1]))
     for p in exps:
         a = lp_norm(a, p)
     return a
@@ -189,8 +192,9 @@ def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
     """(u, v, slab) for a rank-r norm; variables are numbered from 0.
 
     v is the largest set of variables whose time and frequency axes fill
-    the innermost 2|v| levels, every one with exponent 2; u holds the other
-    variables, in the order they are transformed.  slab says that u has at
+    the innermost 2|v| levels, every one with exponent 2, or empty when that
+    set holds every variable; u holds the other variables, in the order
+    they are transformed.  slab says that u has at
     least 3 variables and the outermost level contracts the time axis of
     u[-1], whose time shifts are then looped over."""
     v, seen = [], set()
@@ -200,6 +204,8 @@ def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
         seen.add((axis - 1) % rank)
         if level == 2 * len(seen):  # these levels hold both axes of each variable seen
             v = sorted(seen)
+    if len(v) == rank:
+        v = []
     u = [j for j in range(rank) if j not in v]
     outer = c.image[-1] - 1
     slab = len(u) >= 3 and outer < rank
@@ -219,7 +225,8 @@ def planned_bytes(n: int, rank: int, c: Permutation, exps: ExponentVector) -> in
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
                           exps: ExponentVector) -> float:
     """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array,
-    against the tensor-power window, taking only the transforms _plan keeps."""
+    against the tensor-power window, or against `window` itself when it is
+    r-dimensional; a 1-D window takes only the transforms _plan keeps."""
     if not isinstance(obj, FiniteSignal):
         if np.shape(obj) != (window.n,) * np.ndim(obj):
             raise ValueError(f"array of shape {np.shape(obj)} is not (n,)*r, n = {window.n}")
@@ -230,7 +237,7 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     if len(c) != 2 * r or len(exps) != 2 * r:
         raise ValueError(f"permutation and exponents must have length {2 * r}")
     u, v, slab = _plan(r, c, exps)
-    if not v and not slab:
+    if window.dim != 1 or not (v or slab):
         return mixed_norm(stft(obj, window), c, exps)
 
     # The array built below holds (k, l) of u[i] at axes 2i, 2i + 1, then
@@ -245,10 +252,9 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     points = n ** len(v)
 
     def contract(arr):
-        a = np.abs(arr.reshape(-1, points))
         if v:
-            a = lp_norm(a, 2.0)
-        return _contract(a.reshape((n,) * len(axes)), axes, level_exps)
+            arr = lp_norm(np.abs(arr.reshape(-1, points)), 2.0)
+        return _contract(arr.reshape((n,) * len(axes)), axes, level_exps)
 
     rows = shifted_window(window)
     arr = obj.grid.transpose(u + v)

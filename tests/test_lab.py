@@ -1,9 +1,9 @@
 """Experiment harness: configs, determinism, reports, sharpness arms."""
 
+import io
 import itertools
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -288,10 +288,8 @@ class TestMemoryGuard:
         monkeypatch.setattr(lab, "_available_bytes", lambda: 7 * 2 ** 30)
         monkeypatch.setattr(lab, "_build_trial", lambda *args: pytest.fail("a trial ran"))
         out = tmp_path / "rows.csv"
-        start = time.perf_counter()
         code = run_cli(["verify", "--theorem", "T4.4b", "--n", "8,512", "--trials", "1",
                         "--out", str(out)])
-        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
         # T4.4b's slab rule holds two n^5 arrays of complex doubles.
@@ -309,6 +307,20 @@ class TestMemoryGuard:
         monkeypatch.setattr(lab, "_available_bytes", lambda: None)
         cfg = ExperimentConfig(theorem_id="T2.9", n_values=(8,), trials=1)
         assert ratio_experiment(cfg).all_finite()
+
+    @pytest.mark.parametrize("limit,want", [("max\n", 8 * 2 ** 30), ("3221225472\n", 3 * 2 ** 30),
+                                            ("17179869184\n", 8 * 2 ** 30), (None, 8 * 2 ** 30)])
+    def test_cgroup_limit_caps_meminfo(self, monkeypatch, limit, want):
+        files = {"/proc/meminfo": f"MemTotal: 1 kB\nMemAvailable: {8 * 2 ** 20} kB\n",
+                 "/sys/fs/cgroup/memory.max": limit}
+
+        def fake_open(path):
+            if files[path] is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(lab, "open", fake_open, raising=False)
+        assert lab._available_bytes() == want
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="no /proc/meminfo")
     def test_reads_meminfo(self):

@@ -310,14 +310,16 @@ def _symbol(kind, n, rank, rng):
 
 def _moyal_case(rng):
     """(rank, n, permutation, exponents) whose innermost levels hold both
-    axes of a nonempty set of variables, all with exponent 2."""
-    rank = int(rng.integers(1, 4))
+    axes of a nonempty set of variables, all with exponent 2, and whose
+    outermost exponent is not 2, so that not every variable collapses."""
+    rank = int(rng.integers(2, 4))
     n = int(rng.integers(2, 13 if rank < 3 else 9))
-    v = rng.permutation(rank)[:rng.integers(1, rank + 1)]
+    v = rng.permutation(rank)[:rng.integers(1, rank)]
     inner = list(rng.permutation(np.concatenate([v + 1, v + 1 + rank])))
     outer = [a for a in rng.permutation(2 * rank) + 1 if a not in inner]
     exps = [2.0] * len(inner) + [float(rng.choice([1.0, 1.5, 2.0, 2.0, 3.0, INF]))
-                                 for _ in outer]
+                                 for _ in outer[1:]]
+    exps.append(float(rng.choice([1.0, 1.5, 3.0, INF])))
     return rank, n, inner + outer, exps
 
 
@@ -380,7 +382,9 @@ class TestNormPlanner:
         ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # T4.5b
         ((1, 3, 2, 4), (2, 2, 1.5, 1.5), ([1], [0], False), 3),                   # T2.9
         ((4, 1, 2, 3), (2, 1.5, 1.5, 1.5), ([0, 1], [], False), 4),               # T4.5a
-        ((4, 1, 2, 3), (2, 2, 2, 2), ([], [0, 1], False), 2),                     # T4.5a, p = 2
+        ((4, 1, 2, 3), (2, 2, 2, 2), ([0, 1], [], False), 4),                     # T4.5a, p = 2
+        ((1, 2), (2, 2), ([0], [], False), 2),                                    # all-2, rank 1
+        ((2, 5, 1, 4, 6, 3), (2,) * 6, ([0, 1, 2], [], True), 5),                 # all-2, rank 3
         ((1, 2), (2, 1.5), ([0], [], False), 2),                                  # T4.2a
         ((1, 2), (INF, 1), ([0], [], False), 2),                                  # T4.2a's g
         ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], [], False), 4),      # l^2 levels, no pair
@@ -391,6 +395,36 @@ class TestNormPlanner:
         rank = len(image) // 2
         assert _plan(rank, c, e) == rule
         assert planned_bytes(12, rank, c, e) == 16 * 12 ** power
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_all_2_norm_still_takes_the_transform(self, rank):
+        # Collapsing every variable would give Moyal's closed form by
+        # construction; the transform is taken, and the closed form checks it.
+        n = 6
+        rng = np.random.default_rng(rank)
+        f = random_signal(n, rank, rng)
+        g = random_signal(n, 1, rng)
+        c, e = Permutation.identity(2 * rank), ExponentVector((2.0,) * (2 * rank))
+        assert _plan(rank, c, e)[1] == []
+        want = f.norm() * g.norm() ** rank
+        assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        (2, 7, (1, 3, 2, 4), (2, 2, 1.5, INF)),            # Moyal rule
+        (3, 5, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # Moyal rule
+        (3, 5, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # slab rule
+    ])
+    def test_tensor_window_gives_the_same_norm(self, case):
+        # An r-dimensional window takes the full STFT; its tensor-power
+        # form must give what the 1-D window gives through the planner.
+        rank, n, image, exps = case
+        rng = np.random.default_rng(n)
+        f = random_signal(n, rank, rng)
+        g = random_signal(n, 1, rng)
+        c, e = Permutation(image), ExponentVector(exps)
+        want = mixed_modulation_norm(f, g, c, e)
+        got = mixed_modulation_norm(f, tensor_window(g, rank), c, e)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_full_stft_keeps_its_bits(self):
         # Without an l^2 pair or a slab the norm is mixed_norm of stft, bit for bit.
