@@ -83,12 +83,15 @@ def _schatten(args) -> dict:
 def _experiment(args, experiment) -> int:
     # The config file's fields, overlaid by every experiment flag given.
     fields = _read(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(fields) - _CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"{args.config} has unknown key {unknown[0]!r}")
     fields.update((name, value) for name, value in vars(args).items()
                   if name in _CONFIG_FIELDS and value is not None)
-    try:
-        cfg = ExperimentConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for flag, name in (("--theorem", "theorem_id"), ("--n", "n_values")):
+        if name not in fields:
+            raise ConfigError(f"{flag} ({name}) is required")
+    cfg = ExperimentConfig(**fields)
     report = experiment(cfg)
     if not report.all_finite():
         print("error: non-finite values in trial records", file=sys.stderr)

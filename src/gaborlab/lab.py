@@ -1,11 +1,13 @@
 """Experiment harness: per-theorem ratio experiments, sharpness blow-up
 experiments and CSV/JSON reporting.
 
-Each registered theorem id fixes an operator form (plain kernel, easy or
-hard oscillatory form), the object whose mixed modulation norm is taken
-(kernel, symbol-times-phase product, or bare symbol), a permutation-class
-requirement and an exponent pattern.  A trial draws a seeded ensemble,
-builds the operator, and records
+Each registered theorem id fixes the object whose mixed modulation norm
+is taken (kernel, symbol-times-phase product, or bare symbol), its phase,
+a permutation-class requirement and an exponent pattern; the rank and the
+phase fix the operator form.  A SHARP id raises exponent slots of its base
+theorem on the closed-form object b1 (x) 1.  Every id runs one trial loop,
+which draws a seeded ensemble, builds the operator and the tensor factors
+of the object, and records
 
     ratio = schatten_norm(A, p) / mixed_modulation_norm(object).
 
@@ -88,7 +90,6 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    form: str              # "kernel" | "easy" | "hard"
     norm_object: str       # "kernel" | "product" | "bare"
     phase: str             # "none" | "random" | "quadratic-zero-mixed" | "quadratic"
     family: str            # key of FAMILIES
@@ -98,34 +99,34 @@ class TheoremSpec:
 
 # T4.3a and T4.4a state the same easy-form bound.
 _EASY_ZERO_MIXED = TheoremSpec(
-    "easy", "bare", "quadratic-zero-mixed", "slice",
+    "bare", "quadratic-zero-mixed", "slice",
     lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4))
 
 THEOREMS = {
     "T2.9": TheoremSpec(
-        "kernel", "kernel", "none", "slice",
+        "kernel", "none", "slice",
         lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
     "T3.1": TheoremSpec(
-        "easy", "product", "random", "slice",
+        "product", "random", "slice",
         lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
     "T3.2": TheoremSpec(
-        "hard", "product", "random", "FIO slice",
+        "product", "random", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
-    "T4.2a": TheoremSpec(  # pointwise-product bound; trial body in ratio_experiment
-        "kernel", "kernel", "none", "two-axis", lambda p: (2.0, p), (1, 2)),
+    "T4.2a": TheoremSpec(  # pointwise-product bound; trial body in _run_trials
+        "kernel", "none", "two-axis", lambda p: (2.0, p), (1, 2)),
     "T4.3a": _EASY_ZERO_MIXED,
     "T4.3b": TheoremSpec(
-        "hard", "bare", "quadratic-zero-mixed", "FIO slice",
+        "bare", "quadratic-zero-mixed", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
     "T4.4a": _EASY_ZERO_MIXED,
     "T4.4b": TheoremSpec(
-        "hard", "bare", "quadratic-zero-mixed", "FIO symbol",
+        "bare", "quadratic-zero-mixed", "FIO symbol",
         lambda p: (INF, 2.0, 2.0, p, p, 1.0), (6, 1, 4, 2, 5, 3)),
     "T4.5a": TheoremSpec(
-        "easy", "bare", "quadratic", "relaxed easy",
+        "bare", "quadratic", "relaxed easy",
         lambda p: (2.0, p, p, p), (4, 1, 2, 3)),
     "T4.5b": TheoremSpec(
-        "hard", "bare", "quadratic", "relaxed hard",
+        "bare", "quadratic", "relaxed hard",
         lambda p: (INF, 2.0, p, p, p, 1.0), (6, 5, 1, 2, 4, 3)),
 }
 
@@ -372,17 +373,32 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
     raise ConfigError(f"unknown ensemble kind {kind!r}")
 
 
-def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, n, trial])
+def _factor_ranks(cfg: ExperimentConfig) -> tuple:
+    """Ranks of the tensor factors of a trial's norm object: one factor for
+    a ratio id, b1 and the constant 1 for a SHARP id."""
+    rank = len(cfg.permutation) // 2
+    return (rank - 1, 1) if cfg.theorem_id in SHARPNESS else (rank,)
 
 
-def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
-    """(operator, norm-object array, metadata) for one draw."""
-    rank = 2 if spec.form in ("kernel", "easy") else 3
+def _build_trial(cfg: ExperimentConfig, ranks: tuple, n: int, rng) -> tuple:
+    """(operator, norm-object factors of ranks `ranks`, metadata) for one draw."""
+    if cfg.theorem_id in SHARPNESS:
+        # b1 (x) 1: the kernel 1 (x) 1 for T2.9, else the symbol
+        # b1(x, y) (x) 1(xi) in the hard form with zero phase, where summing
+        # out xi leaves the kernel sqrt(n) * b1.
+        ones = np.ones(n, dtype=np.complex128)
+        meta = {"arm": "control" if cfg.control_arm else "violated"}
+        if ranks[0] == 1:
+            return OperatorMatrix(np.outer(ones, ones)), [ones, ones], meta
+        b1 = gen_ensemble("gaussian-symbol", n, rng, rank=ranks[0]).values
+        return OperatorMatrix(np.sqrt(n) * b1), [b1, ones], meta
+
+    spec = THEOREMS[cfg.theorem_id]
+    (rank,) = ranks
     sym = gen_ensemble("gaussian-symbol", n, rng, rank=rank)
     meta = {}
-    if spec.form == "kernel":
-        return OperatorMatrix(sym.values), sym.values, meta
+    if spec.phase == "none":
+        return OperatorMatrix(sym.values), [sym.values], meta
 
     if spec.phase == "random":
         phase = gen_ensemble("random-phase", n, rng, rank=rank)
@@ -400,7 +416,7 @@ def _build_trial(spec: TheoremSpec, n: int, rng) -> tuple:
 
     prod = oscillatory(sym, phase)
     obj = sym.values if spec.norm_object == "bare" else prod
-    return fio_operator(prod), obj, meta
+    return fio_operator(prod), [obj], meta
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +449,42 @@ def _available_bytes():
     return min([avail[0] * 1024, *limit])
 
 
-def _run_trials(cfg: ExperimentConfig, label: str, exps: ExponentVector,
-                trial, norms) -> Report:
+# T4.2a bounds ||f g||_(2, p) by ||f||_(2, p) ||g||_(inf, 1).
+_MULT_G_NORM = (Permutation.identity(2), ExponentVector((INF, 1.0)))
+
+
+def _run_trials(cfg: ExperimentConfig) -> Report:
     """The seeded loop every experiment runs: one window per n, one
-    generator per (n, trial), and `trial(n, window, rng)` returning
-    (schatten, mixednorm, metadata) for that draw.  `norms` lists the
-    (permutation, exponents) of every mixed modulation norm a trial takes;
-    a size whose largest planned array exceeds the available memory is
-    refused before the first trial."""
+    generator per (n, trial), and one record per draw.  A size whose largest
+    planned array exceeds the available memory is refused before the first
+    trial; the guard plans the norms of the factors the trials draw."""
+    exps, ranks, mult = cfg.exponents(), _factor_ranks(cfg), cfg.theorem_id == "T4.2a"
+    norms = _factor_norms(ranks, cfg.permutation, exps)
+    if mult:
+        norms.append(_MULT_G_NORM)
     available = _available_bytes()
     for n in cfg.n_values:
-        need = max(planned_bytes(n, len(c) // 2, c, e) for c, e in norms)
+        need = max(planned_bytes(n, c, e) for c, e in norms)
         if available is not None and need > available:
             raise ConfigError(f"n = {n} needs a {need}-byte array, more than the "
                               f"{available} bytes of memory available")
+    label = "MULT" if mult else cfg.theorem_id
     records, per_n = [], {}
     for n in cfg.n_values:
         window = make_window(cfg.window_kind, n, cfg.seed)
         for t in range(cfg.trials):
-            s, m, meta = trial(n, window, _trial_rng(cfg.seed, n, t))
+            rng = np.random.default_rng([cfg.seed, n, t])
+            if mult:
+                f, g = random_signal(n, 1, rng), random_signal(n, 1, rng)
+                prod = FiniteSignal(n, 1, f.values * g.values)
+                s = mixed_modulation_norm(prod, window, cfg.permutation, exps)
+                m = (mixed_modulation_norm(f, window, cfg.permutation, exps)
+                     * mixed_modulation_norm(g, window, *_MULT_G_NORM))
+                meta = {}
+            else:
+                op, factors, meta = _build_trial(cfg, ranks, n, rng)
+                s = schatten_norm(op, cfg.p)
+                m = tensor_mixed_norm(factors, window, cfg.permutation, exps)
             ratio = 0.0 if s == 0.0 else s / m
             records.append(TrialRecord(label, n, t, cfg.p, s, m, ratio, cfg.seed, meta))
             per_n[n] = max(per_n.get(n, 0.0), ratio)
@@ -468,30 +501,7 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
     """
     if cfg.theorem_id in SHARPNESS:
         raise ConfigError("use the sharpness subcommand for SHARP-* ids")
-    exps = cfg.exponents()
-    spec = THEOREMS[cfg.theorem_id]
-
-    # The (permutation, exponents) of every norm a trial takes: T4.2a
-    # also takes the (inf, 1) norm of g.
-    norms = [(cfg.permutation, exps)]
-    if cfg.theorem_id == "T4.2a":
-        norms.append((Permutation.identity(2), ExponentVector((INF, 1.0))))
-
-    def trial(n, window, rng):
-        if cfg.theorem_id == "T4.2a":
-            f = random_signal(n, 1, rng)
-            g = random_signal(n, 1, rng)
-            prod = FiniteSignal(n, 1, f.values * g.values)
-            return (mixed_modulation_norm(prod, window, *norms[0]),
-                    mixed_modulation_norm(f, window, *norms[0])
-                    * mixed_modulation_norm(g, window, *norms[1]),
-                    {})
-        op, obj, meta = _build_trial(spec, n, rng)
-        return (schatten_norm(op, cfg.p),
-                mixed_modulation_norm(obj, window, *norms[0]), meta)
-
-    label = "MULT" if cfg.theorem_id == "T4.2a" else cfg.theorem_id
-    return _run_trials(cfg, label, exps, trial, norms)
+    return _run_trials(cfg)
 
 
 def _factor_norms(ranks, c: Permutation, exps: ExponentVector) -> list:
@@ -525,27 +535,7 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
     """Closed-form blow-up families with one or more exponent slots raised."""
     if cfg.theorem_id not in SHARPNESS:
         raise ConfigError(f"{cfg.theorem_id} is not a sharpness experiment id")
-    exps = cfg.exponents()
-    arm = "control" if cfg.control_arm else "violated"
-    # Every trial takes the norm of a tensor product b1 (x) 1 whose factors
-    # have these ranks: the kernel 1 (x) 1 for T2.9, b1(x, y) (x) 1(xi) else.
-    ranks = (1, 1) if cfg.base_theorem == "T2.9" else (2, 1)
-
-    def trial(n, window, rng):
-        ones = np.ones(n, dtype=np.complex128)
-        if ranks[0] == 1:
-            b1, op = ones, OperatorMatrix(np.outer(ones, ones))
-        else:
-            # Hard form with zero phase: summing out xi leaves the kernel
-            # sqrt(n) * b1.
-            b1 = gen_ensemble("gaussian-symbol", n, rng, rank=ranks[0]).values
-            op = OperatorMatrix(np.sqrt(n) * b1)
-        return (schatten_norm(op, cfg.p),
-                tensor_mixed_norm([b1, ones], window, cfg.permutation, exps),
-                {"arm": arm})
-
-    return _run_trials(cfg, cfg.theorem_id, exps, trial,
-                       _factor_norms(ranks, cfg.permutation, exps))
+    return _run_trials(cfg)
 
 
 def _config_extra(cfg: ExperimentConfig, exps: ExponentVector) -> dict:

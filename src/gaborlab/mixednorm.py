@@ -215,10 +215,10 @@ def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
     return u, v, slab
 
 
-def planned_bytes(n: int, rank: int, c: Permutation, exps: ExponentVector) -> int:
-    """Bytes of the largest complex array mixed_modulation_norm builds for a
-    rank-r object on Z_n: n^(2|u| + |v|) entries, one axis fewer for a slab."""
-    u, v, slab = _plan(rank, c, exps)
+def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
+    """Bytes of the largest complex array mixed_modulation_norm builds for an
+    object on Z_n of rank len(c) / 2: n^(2|u| + |v|) entries, one fewer for a slab."""
+    u, v, slab = _plan(len(c) // 2, c, exps)
     return 16 * n ** (2 * len(u) + len(v) - slab)
 
 

@@ -333,7 +333,9 @@ USAGE_ERRORS = {
     "raise-5": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8", "--raise", "5"],
                 "--raise"),
     "p-abc": (["verify", "--theorem", "T3.1", "--n", "8", "--p", "abc"], "--p"),
-    "no-theorem": (["verify", "--n", "8"], "theorem_id"),
+    "no-theorem": (["verify", "--n", "8"], "--theorem (theorem_id) is required"),
+    "no-n": (["sharpness", "--theorem", "SHARP-T4.3"], "--n (n_values) is required"),
+    "multbound-no-n": (["multbound", "--trials", "1"], "--n (n_values) is required"),
     "raise-and-control": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8",
                            "--raise", "5=inf", "--control"], "control_arm"),
 }
@@ -372,6 +374,18 @@ def test_config_file_rejects(tmp_path, capsys, command, payload, names):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert names in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({**SHARP_FIELDS, "bogus": 1}, "{cfg} has unknown key 'bogus'"),
+    ({"n_values": [8]}, "--theorem (theorem_id) is required"),
+], ids=["unknown-key", "no-theorem"])
+def test_config_file_field_errors_name_the_field(tmp_path, capsys, payload, message):
+    cfg = tmp_path / "exp.json"
+    dump_json(payload, cfg)
+    assert run_cli(["sharpness", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n" and captured.out == ""
 
 
 def _summary_and_csv(tmp_path, capsys, name, argv):

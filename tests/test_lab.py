@@ -62,6 +62,10 @@ PERMUTATION_ORACLE = {
 }
 
 
+# Every experiment id, each SHARP id in both arms.
+_ARMS = [(t, False) for t in THEOREM_IDS] + [(t, c) for t in SHARPNESS_IDS for c in (False, True)]
+
+
 class TestConfig:
     def test_unknown_theorem(self):
         with pytest.raises(ConfigError):
@@ -302,6 +306,21 @@ class TestMemoryGuard:
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 66), trials=1)
         with pytest.raises(ConfigError, match="n = 66"):
             sharpness_experiment(cfg)
+
+    @pytest.mark.parametrize("theorem,control", _ARMS,
+                             ids=[t + "-control" * c for t, c in _ARMS])
+    def test_guard_plans_the_norms_a_trial_takes(self, monkeypatch, theorem, control):
+        # The (permutation, exponents) pairs the guard plans are those of
+        # the mixed_modulation_norm calls the trial makes, factors included.
+        planned, taken = set(), set()
+        plan, norm = lab.planned_bytes, lab.mixed_modulation_norm
+        monkeypatch.setattr(lab, "planned_bytes",
+                            lambda n, c, e: planned.add((c, e)) or plan(n, c, e))
+        monkeypatch.setattr(lab, "mixed_modulation_norm",
+                            lambda obj, w, c, e: taken.add((c, e)) or norm(obj, w, c, e))
+        cfg = ExperimentConfig(theorem, (8,), trials=1, control_arm=control)
+        (sharpness_experiment if theorem in SHARPNESS_IDS else ratio_experiment)(cfg)
+        assert taken and planned == taken
 
     def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(lab, "_available_bytes", lambda: None)

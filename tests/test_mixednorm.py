@@ -394,7 +394,7 @@ class TestNormPlanner:
         c, e = Permutation(image), ExponentVector(exps)
         rank = len(image) // 2
         assert _plan(rank, c, e) == rule
-        assert planned_bytes(12, rank, c, e) == 16 * 12 ** power
+        assert planned_bytes(12, c, e) == 16 * 12 ** power
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_all_2_norm_still_takes_the_transform(self, rank):
