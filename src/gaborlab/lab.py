@@ -207,9 +207,6 @@ class ExperimentConfig:
             raise ConfigError(f"output_path must be a path string, got {self.output_path!r}")
 
         spec = THEOREMS[self.base_theorem]
-        if spec.phase.startswith("quadratic") and any(n % 2 for n in n_values):
-            raise ConfigError("chirped ensembles require even group sizes")
-
         perm = spec.default_perm if self.permutation is None else self.permutation
         if not isinstance(perm, (Permutation, list, tuple)):
             raise ConfigError(f"permutation must be a list of integers, got {perm!r}")
@@ -295,11 +292,22 @@ class Report:
     In `MULT` rows (T4.2a) no Schatten norm is taken: `schatten` holds
     ||fg||_(2,p) and `mixednorm` holds the bound ||f||_(2,p) ||g||_(inf,1)."""
 
-    theorem: str
+    cfg: ExperimentConfig
     records: list
-    per_n_max: dict
-    growth_factor: float
-    summary_extra: dict = field(default_factory=dict)
+
+    @property
+    def theorem(self) -> str:
+        return "MULT" if self.cfg.theorem_id == "T4.2a" else self.cfg.theorem_id
+
+    @property
+    def per_n_max(self) -> dict:
+        return {n: max([0.0] + [r.ratio for r in self.records if r.n == n])
+                for n in self.cfg.n_values}
+
+    @property
+    def growth_factor(self) -> float:
+        positives = [v for v in self.per_n_max.values() if v > 0]
+        return max(positives) / min(positives) if positives else 0.0
 
     def csv_body(self) -> str:
         lines = [CSV_HEADER]
@@ -315,14 +323,23 @@ class Report:
             fh.write(self.csv_body())
 
     def summary(self) -> dict:
-        out = {
+        cfg = self.cfg
+        return {
             "theorem": self.theorem,
             "per_n_max_ratio": {str(n): v for n, v in self.per_n_max.items()},
             "growth_factor": self.growth_factor,
             "rows": len(self.records),
+            "n_values": list(cfg.n_values),
+            "p": cfg.p,
+            "trials": cfg.trials,
+            "seed": cfg.seed,
+            "permutation": list(cfg.permutation.image),
+            "exponents": [str(e) for e in cfg.exponents().exps],
+            "window": cfg.window_kind,
+            "ratio_ceiling": cfg.ratio_ceiling,
+            "growth_floor": cfg.growth_floor,
+            "control_arm": cfg.control_arm,
         }
-        out.update(self.summary_extra)
-        return out
 
     def all_finite(self) -> bool:
         return all(math.isfinite(v) for r in self.records
@@ -373,28 +390,43 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
     raise ConfigError(f"unknown ensemble kind {kind!r}")
 
 
-def _factor_ranks(cfg: ExperimentConfig) -> tuple:
-    """Ranks of the tensor factors of a trial's norm object: one factor for
-    a ratio id, b1 and the constant 1 for a SHARP id."""
-    rank = len(cfg.permutation) // 2
-    return (rank - 1, 1) if cfg.theorem_id in SHARPNESS else (rank,)
+def _factor_norms(cfg: ExperimentConfig) -> list:
+    """(permutation, exponents) of every factor norm a trial of `cfg` takes: one
+    for a ratio id's object, b1 and the constant 1 for a SHARP id, and f and g for
+    T4.2a's bound ||f||_(2, p) ||g||_(inf, 1); f's is also the norm of f g."""
+    c, exps = cfg.permutation, cfg.exponents()
+    if cfg.theorem_id == "T4.2a":
+        return [(c, exps), (Permutation.identity(2), ExponentVector((INF, 1.0)))]
+    if cfg.theorem_id not in SHARPNESS:
+        return [(c, exps)]
+    rank, first, out = len(c) // 2, 0, []
+    for r in (rank - 1, 1):
+        # Product time axis first + j and frequency axis rank + first + j
+        # become the factor's own axes j and r + j; levels keep their order.
+        local = {offset + first + j: shift + j for j in range(1, r + 1)
+                 for offset, shift in ((0, 0), (rank, r))}
+        first += r
+        levels = [lv for lv, axis in enumerate(c.image) if axis in local]
+        out.append((Permutation(tuple(local[c.image[lv]] for lv in levels)),
+                    ExponentVector(tuple(exps.exps[lv] for lv in levels))))
+    return out
 
 
-def _build_trial(cfg: ExperimentConfig, ranks: tuple, n: int, rng) -> tuple:
-    """(operator, norm-object factors of ranks `ranks`, metadata) for one draw."""
+def _build_trial(cfg: ExperimentConfig, norms: list, n: int, rng) -> tuple:
+    """(operator, norm-object factors of the ranks of `norms`, metadata) for one draw."""
+    rank = len(norms[0][0]) // 2
     if cfg.theorem_id in SHARPNESS:
         # b1 (x) 1: the kernel 1 (x) 1 for T2.9, else the symbol
         # b1(x, y) (x) 1(xi) in the hard form with zero phase, where summing
         # out xi leaves the kernel sqrt(n) * b1.
         ones = np.ones(n, dtype=np.complex128)
         meta = {"arm": "control" if cfg.control_arm else "violated"}
-        if ranks[0] == 1:
+        if rank == 1:
             return OperatorMatrix(np.outer(ones, ones)), [ones, ones], meta
-        b1 = gen_ensemble("gaussian-symbol", n, rng, rank=ranks[0]).values
+        b1 = gen_ensemble("gaussian-symbol", n, rng, rank=rank).values
         return OperatorMatrix(np.sqrt(n) * b1), [b1, ones], meta
 
     spec = THEOREMS[cfg.theorem_id]
-    (rank,) = ranks
     sym = gen_ensemble("gaussian-symbol", n, rng, rank=rank)
     meta = {}
     if spec.phase == "none":
@@ -449,48 +481,34 @@ def _available_bytes():
     return min([avail[0] * 1024, *limit])
 
 
-# T4.2a bounds ||f g||_(2, p) by ||f||_(2, p) ||g||_(inf, 1).
-_MULT_G_NORM = (Permutation.identity(2), ExponentVector((INF, 1.0)))
-
-
 def _run_trials(cfg: ExperimentConfig) -> Report:
     """The seeded loop every experiment runs: one window per n, one
-    generator per (n, trial), and one record per draw.  A size whose largest
-    planned array exceeds the available memory is refused before the first
-    trial; the guard plans the norms of the factors the trials draw."""
-    exps, ranks, mult = cfg.exponents(), _factor_ranks(cfg), cfg.theorem_id == "T4.2a"
-    norms = _factor_norms(ranks, cfg.permutation, exps)
-    if mult:
-        norms.append(_MULT_G_NORM)
+    generator per (n, trial), and one record per draw.  A size whose planned
+    working set exceeds the available memory is refused before the first
+    trial; the guard plans the factor norms every trial takes."""
+    norms = _factor_norms(cfg)
     available = _available_bytes()
     for n in cfg.n_values:
         need = max(planned_bytes(n, c, e) for c, e in norms)
         if available is not None and need > available:
-            raise ConfigError(f"n = {n} needs a {need}-byte array, more than the "
-                              f"{available} bytes of memory available")
-    label = "MULT" if mult else cfg.theorem_id
-    records, per_n = [], {}
+            raise ConfigError(f"n = {n} needs {need} bytes of working memory, more "
+                              f"than the {available} bytes available")
+    report = Report(cfg, [])
     for n in cfg.n_values:
         window = make_window(cfg.window_kind, n, cfg.seed)
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, n, t])
-            if mult:
-                f, g = random_signal(n, 1, rng), random_signal(n, 1, rng)
-                prod = FiniteSignal(n, 1, f.values * g.values)
-                s = mixed_modulation_norm(prod, window, cfg.permutation, exps)
-                m = (mixed_modulation_norm(f, window, cfg.permutation, exps)
-                     * mixed_modulation_norm(g, window, *_MULT_G_NORM))
-                meta = {}
+            if cfg.theorem_id == "T4.2a":
+                factors, meta = [random_signal(n, 1, rng).values for _ in range(2)], {}
+                s = mixed_modulation_norm(factors[0] * factors[1], window, *norms[0])
             else:
-                op, factors, meta = _build_trial(cfg, ranks, n, rng)
+                op, factors, meta = _build_trial(cfg, norms, n, rng)
                 s = schatten_norm(op, cfg.p)
-                m = tensor_mixed_norm(factors, window, cfg.permutation, exps)
+            m = tensor_mixed_norm(factors, window, norms)
             ratio = 0.0 if s == 0.0 else s / m
-            records.append(TrialRecord(label, n, t, cfg.p, s, m, ratio, cfg.seed, meta))
-            per_n[n] = max(per_n.get(n, 0.0), ratio)
-    positives = [v for v in per_n.values() if v > 0]
-    growth = (max(positives) / min(positives)) if positives else 0.0
-    return Report(label, records, per_n, growth, _config_extra(cfg, exps))
+            report.records.append(
+                TrialRecord(report.theorem, n, t, cfg.p, s, m, ratio, cfg.seed, meta))
+    return report
 
 
 def ratio_experiment(cfg: ExperimentConfig) -> Report:
@@ -504,30 +522,13 @@ def ratio_experiment(cfg: ExperimentConfig) -> Report:
     return _run_trials(cfg)
 
 
-def _factor_norms(ranks, c: Permutation, exps: ExponentVector) -> list:
-    """(permutation, exponents) of each tensor factor's own norm, for
-    factors of the given ranks whose axes fill the product's axes in order."""
-    rank, first, out = sum(ranks), 0, []
-    for r in ranks:
-        # Product time axis first + j and frequency axis rank + first + j
-        # become the factor's own axes j and r + j; levels keep their order.
-        local = {offset + first + j: shift + j for j in range(1, r + 1)
-                 for offset, shift in ((0, 0), (rank, r))}
-        first += r
-        levels = [lv for lv, axis in enumerate(c.image) if axis in local]
-        out.append((Permutation(tuple(local[c.image[lv]] for lv in levels)),
-                    ExponentVector(tuple(exps.exps[lv] for lv in levels))))
-    return out
-
-
-def tensor_mixed_norm(factors, window: FiniteSignal, c: Permutation,
-                      exps: ExponentVector) -> float:
-    """Mixed modulation norm of the tensor product of the arrays `factors`,
-    whose axes fill the product's axes in order, computed factor by factor: the
-    STFT against a tensor-power window splits axis by axis, so nested contractions factor."""
+def tensor_mixed_norm(factors, window: FiniteSignal, norms) -> float:
+    """Mixed modulation norm of the tensor product of the arrays `factors`, each
+    under its own (permutation, exponents) entry of `norms`: the STFT against a
+    tensor-power window splits axis by axis, so nested contractions factor."""
     norm = 1.0
-    for arr, (perm, sub) in zip(factors, _factor_norms([np.ndim(a) for a in factors], c, exps)):
-        norm *= mixed_modulation_norm(arr, window, perm, sub)
+    for arr, (c, exps) in zip(factors, norms, strict=True):
+        norm *= mixed_modulation_norm(arr, window, c, exps)
     return norm
 
 
@@ -537,17 +538,3 @@ def sharpness_experiment(cfg: ExperimentConfig) -> Report:
         raise ConfigError(f"{cfg.theorem_id} is not a sharpness experiment id")
     return _run_trials(cfg)
 
-
-def _config_extra(cfg: ExperimentConfig, exps: ExponentVector) -> dict:
-    return {
-        "n_values": list(cfg.n_values),
-        "p": cfg.p,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "permutation": list(cfg.permutation.image),
-        "exponents": [str(e) for e in exps.exps],
-        "window": cfg.window_kind,
-        "ratio_ceiling": cfg.ratio_ceiling,
-        "growth_floor": cfg.growth_floor,
-        "control_arm": cfg.control_arm,
-    }

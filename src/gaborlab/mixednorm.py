@@ -132,7 +132,9 @@ def classify_permutation(c: Permutation, d: int) -> set:
 def _peak_scaled_norm(a: np.ndarray, p: float):
     peak = a.max(axis=-1, initial=0.0)
     safe = np.where(peak > 0, peak, 1.0)
-    return peak * ((a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+    scaled = a / safe[..., None]
+    scaled **= p  # in place: one temporary the size of a
+    return peak * scaled.sum(axis=-1) ** (1.0 / p)
 
 
 def lp_norm(a: np.ndarray, p: float):
@@ -216,10 +218,19 @@ def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
 
 
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
-    """Bytes of the largest complex array mixed_modulation_norm builds for an
-    object on Z_n of rank len(c) / 2: n^(2|u| + |v|) entries, one fewer for a slab."""
+    """Bytes mixed_modulation_norm holds at once, with a 1-D window, for an object
+    on Z_n of rank len(c) / 2.  Per entry of the largest complex array (n^(2|u| + |v|)
+    entries, one power of n fewer for a slab, held beside its source): 16 bytes, 32
+    for a slab; 8 for the absolute values the first contraction takes (the l^2
+    collapse over t_v, else level 1), and for its exponent q none at q = 1 or inf,
+    16 at q = 2 (a retake of underflowed rows, or the collapse's copy of a
+    transposed array) and 8 else.  Six doubles per entry of the next level, the
+    n x n shifted windows and 512 KiB of numpy's iterator buffers cover the rest."""
     u, v, slab = _plan(len(c) // 2, c, exps)
-    return 16 * n ** (2 * len(u) + len(v) - slab)
+    entries = n ** (2 * len(u) + len(v) - slab)
+    q = 2.0 if v else exps.exps[0]
+    temps = 0 if q in (1.0, INF) else 16 if q == 2.0 else 8
+    return entries * (16 * (1 + slab) + 8 + temps) + 48 * entries // n + 16 * n * n + 2 ** 19
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,

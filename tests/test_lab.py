@@ -75,10 +75,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(theorem_id="T3.1", n_values=(8,), p=3.0)
 
-    def test_odd_n_rejected_for_chirped_ensembles(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(theorem_id="T4.3a", n_values=(9,))
-        ExperimentConfig(theorem_id="T3.1", n_values=(9,))  # no chirps: fine
+    def test_odd_n_runs_for_chirped_and_sharp_ids(self):
+        # The chirps gen_ensemble draws have an even diagonal, so they are
+        # well-defined on every Z_n.  At p = 2 a chirped easy-form ratio is
+        # 1 and SHARP-T4.3's is n, so their growth over n = 9, 27 is 1 and 3.
+        chirped = ratio_experiment(ExperimentConfig("T4.5a", (9, 27), p=2.0, trials=2))
+        sharp = sharpness_experiment(ExperimentConfig("SHARP-T4.3", (9, 27), p=2.0, trials=1))
+        assert abs(chirped.growth_factor - 1.0) <= 1e-12
+        assert abs(sharp.growth_factor - 3.0) <= 3e-12
+        assert ratio_experiment(ExperimentConfig("T4.4b", (5, 9), trials=1)).all_finite()
 
     def test_permutation_class_enforced(self):
         with pytest.raises(ConfigError):
@@ -285,7 +290,7 @@ class TestExactIdentities:
 
 
 class TestMemoryGuard:
-    """A size whose largest planned array exceeds the available memory is
+    """A size whose planned working set exceeds the available memory is
     refused before the first trial."""
 
     def test_oversized_n_refused_before_any_trial(self, monkeypatch, tmp_path, capsys):
@@ -296,13 +301,16 @@ class TestMemoryGuard:
                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
-        # T4.4b's slab rule holds two n^5 arrays of complex doubles.
-        assert "n = 512" in err and str(16 * 512 ** 5) in err
+        # T4.4b's slab rule holds two n^5 complex arrays and their absolute values.
+        need = 40 * 512 ** 5 + 48 * 512 ** 4 + 16 * 512 ** 2 + 2 ** 19
+        assert "n = 512" in err and str(need) in err
         assert not out.exists()
 
     def test_sharpness_factors_are_planned(self, monkeypatch):
-        # SHARP-T4.3's b1 factor keeps one untransformed variable: n^3 entries.
-        monkeypatch.setattr(lab, "_available_bytes", lambda: 16 * 64 ** 3)
+        # SHARP-T4.3's b1 factor keeps one untransformed variable: n^3 entries,
+        # 40 bytes each under an l^2 collapse.
+        need = 40 * 64 ** 3 + 48 * 64 ** 2 + 16 * 64 ** 2 + 2 ** 19
+        monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 66), trials=1)
         with pytest.raises(ConfigError, match="n = 66"):
             sharpness_experiment(cfg)
@@ -449,7 +457,7 @@ class TestTensorMixedNorm:
         window = make_window("gaussian-sampled", n)
         for cfg in self._arms(theorem, n, 1.5):
             exps = cfg.exponents()
-            got = tensor_mixed_norm([b1, b2], window, cfg.permutation, exps)
+            got = tensor_mixed_norm([b1, b2], window, lab._factor_norms(cfg))
             want = mixed_modulation_norm(full, window, cfg.permutation, exps)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -460,7 +468,7 @@ class TestTensorMixedNorm:
         perm = Permutation((1, 3, 2, 4))
         for cfg in self._arms("SHARP-T2.9", n, 1.5):
             exps = cfg.exponents()
-            got = tensor_mixed_norm([ones, ones], window, perm, exps)
+            got = tensor_mixed_norm([ones, ones], window, lab._factor_norms(cfg))
             want = mixed_modulation_norm(np.outer(ones, ones), window, perm, exps)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 

@@ -8,6 +8,7 @@ set-based implementation.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +376,13 @@ class TestNormPlanner:
                          ExponentVector(tuple(exps)))[2]
             self._check(case, window, kind, scale, seed)
 
+    # Bytes per entry of the largest array where they are not 40 (16 for the
+    # entry, 8 for its absolute value, 16 for temporaries at q = 2): no
+    # temporaries at q = inf, 8 at another q != 1, and 16 more for a slab's source.
+    _PER_ENTRY = {((1, 2), (INF, 1)): 24, ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2)): 32,
+                  ((2, 5, 1, 4, 6, 3), (2,) * 6): 56,
+                  ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): 48}
+
     @pytest.mark.parametrize("image,exps,rule,power", [
         ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1], False), 5),   # T3.2
         ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF), ([2], [0, 1], False), 4),       # T3.2, p = 2
@@ -389,12 +397,43 @@ class TestNormPlanner:
         ((1, 2), (INF, 1), ([0], [], False), 2),                                  # T4.2a's g
         ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], [], False), 4),      # l^2 levels, no pair
         ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1), ([2], [0, 1], False), 4),  # pairs in any order
+        ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2), ([0, 1], [], False), 4),               # innermost 1.5
+        ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # slab, 1.5
     ])
     def test_plan_of_each_theorem(self, image, exps, rule, power):
         c, e = Permutation(image), ExponentVector(exps)
         rank = len(image) // 2
         assert _plan(rank, c, e) == rule
-        assert planned_bytes(12, c, e) == 16 * 12 ** power
+        per_entry = self._PER_ENTRY.get((image, exps), 40)
+        want = per_entry * 12 ** power + 48 * 12 ** (power - 1) + 16 * 12 ** 2 + 2 ** 19
+        assert planned_bytes(12, c, e) == want
+
+    @pytest.mark.parametrize("n,image,exps", [
+        (24, (1, 3, 2, 4), (1, 2, 1.5, 1.5)),                # full STFT, innermost 1
+        (24, (1, 3, 2, 4), (INF, 2, 1.5, 1.5)),              # full STFT, innermost inf
+        (24, (1, 2, 3, 4), (2, 2, 1.5, 1.5)),                # full STFT, innermost 2
+        (24, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT, innermost 1.5
+        (64, (1, 3, 2, 4), (2, 2, 1.5, 1.5)),                # Moyal, T2.9
+        (16, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # Moyal, T3.2
+        (16, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # slab, T4.4b
+        (16, (6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)),  # slab, innermost 1.5
+    ])
+    def test_planned_bytes_bound_the_working_set(self, n, image, exps):
+        # The plan holds the traced peak of the norm and at most half again.
+        c, e = Permutation(image), ExponentVector(exps)
+        obj = random_signal(n, len(image) // 2, np.random.default_rng(n)).grid
+        window = periodized_gaussian(n)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mixed_modulation_norm(obj, window, c, e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= planned_bytes(n, c, e) <= 1.5 * peak, (peak, planned_bytes(n, c, e))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_all_2_norm_still_takes_the_transform(self, rank):
