@@ -17,10 +17,12 @@ Moyal's identity, an l^2 sum over both axes (k_j, l_j) of a set v of
 variables equals ||g||^|v| times the l^2 norm over their untransformed
 points t_v, so those variables are never transformed; when v would hold
 every variable, the norm is the closed form ||F|| ||g||^r, and the STFT is
-taken anyway so that this closed form still checks the transform.  At
-rank >= 3 a time axis contracted outermost is looped over, and each slab is
-reduced as soon as it is built.  Otherwise, and for a window that is not
-one-dimensional, the full STFT is taken.
+taken anyway so that this closed form still checks the transform.  The time
+shifts of the transformed variable whose time axis is contracted outermost
+are looped over: each slab is collapsed over t_v and contracted over the
+levels inside that time axis's level as soon as it is built.  A norm of
+rank <= 2 with no such v, and any window that is not one-dimensional, takes
+the full STFT.
 """
 
 from __future__ import annotations
@@ -172,11 +174,13 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
 
 
 def _contract(a: np.ndarray, axes, exps):
-    """Nested l^p norms of |a|: level j contracts axis axes[j] with exps[j]."""
+    """Nested l^p norms of |a|: level j contracts axis axes[j] with exps[j].
+    The axes not given stay in front, in their order."""
     # Reverse the level order so each contraction runs over the last
     # (contiguous) axis: level j's axis sits at position -1 when its turn
     # comes.  np.abs writes the transposed view out in that order.
-    a = np.abs(np.transpose(a, axes=axes[::-1]))
+    rest = [i for i in range(a.ndim) if i not in axes]
+    a = np.abs(np.transpose(a, axes=rest + axes[::-1]))
     for p in exps:
         a = lp_norm(a, p)
     return a
@@ -191,14 +195,12 @@ def tensor_window(window: FiniteSignal, rank: int) -> FiniteSignal:
 
 
 def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
-    """(u, v, slab) for a rank-r norm; variables are numbered from 0.
+    """(u, v) for a rank-r norm; variables are numbered from 0.
 
     v is the largest set of variables whose time and frequency axes fill
     the innermost 2|v| levels, every one with exponent 2, or empty when that
-    set holds every variable; u holds the other variables, in the order
-    they are transformed.  slab says that u has at
-    least 3 variables and the outermost level contracts the time axis of
-    u[-1], whose time shifts are then looped over."""
+    set holds every variable; u holds the other variables, in the order of
+    the levels of their time axes."""
     v, seen = [], set()
     for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
         if p != 2.0:
@@ -208,29 +210,30 @@ def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
             v = sorted(seen)
     if len(v) == rank:
         v = []
-    u = [j for j in range(rank) if j not in v]
-    outer = c.image[-1] - 1
-    slab = len(u) >= 3 and outer < rank
-    if slab:
-        u.remove(outer)
-        u.append(outer)
-    return u, v, slab
+    return [axis - 1 for axis in c.image if axis <= rank and axis - 1 not in v], v
+
+
+def _streams(rank: int, v) -> bool:
+    """Whether a 1-D window's norm streams u[-1]'s time shifts, not the full STFT."""
+    return bool(v) or rank >= 3
 
 
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     """Bytes mixed_modulation_norm holds at once, with a 1-D window, for an object
-    on Z_n of rank len(c) / 2.  Per entry of the largest complex array (n^(2|u| + |v|)
-    entries, one power of n fewer for a slab, held beside its source): 16 bytes, 32
-    for a slab; 8 for the absolute values the first contraction takes (the l^2
-    collapse over t_v, else level 1), and for its exponent q none at q = 1 or inf,
-    16 at q = 2 (a retake of underflowed rows, or the collapse's copy of a
-    transposed array) and 8 else.  Six doubles per entry of the next level, the
-    n x n shifted windows and 512 KiB of numpy's iterator buffers cover the rest."""
-    u, v, slab = _plan(len(c) // 2, c, exps)
-    entries = n ** (2 * len(u) + len(v) - slab)
+    on Z_n of rank len(c) / 2.  Per entry of the largest complex array (a slab of
+    n^(2|u| + |v| - 1) entries, held beside the array it is cut from, or the full
+    STFT's n^(2r)): 32 bytes for a slab, 16 for the STFT; 8 for the absolute values
+    the first contraction takes (the l^2 collapse over t_v, else level 1), and for
+    its exponent q none at q = 1 or inf, 16 at q = 2 (a retake of underflowed rows)
+    and 8 else.  Six doubles per entry of the next level, the n x n shifted windows
+    and 512 KiB of numpy's iterator buffers cover the rest."""
+    rank = len(c) // 2
+    u, v = _plan(rank, c, exps)
+    streams = _streams(rank, v)
+    entries = n ** (2 * len(u) + len(v) - streams)
     q = 2.0 if v else exps.exps[0]
     temps = 0 if q in (1.0, INF) else 16 if q == 2.0 else 8
-    return entries * (16 * (1 + slab) + 8 + temps) + 48 * entries // n + 16 * n * n + 2 ** 19
+    return entries * (16 * (1 + streams) + 8 + temps) + 48 * entries // n + 16 * n * n + 2 ** 19
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
@@ -247,34 +250,31 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     n, r = obj.n, obj.dim
     if len(c) != 2 * r or len(exps) != 2 * r:
         raise ValueError(f"permutation and exponents must have length {2 * r}")
-    u, v, slab = _plan(r, c, exps)
-    if window.dim != 1 or not (v or slab):
+    u, v = _plan(r, c, exps)
+    if window.dim != 1 or not _streams(r, v):
         return mixed_norm(stft(obj, window), c, exps)
 
-    # The array built below holds (k, l) of u[i] at axes 2i, 2i + 1, then
-    # the points t_v flat; a slab fixes k of u[-1] and drops its axis.
-    pos = {}
-    for i, j in enumerate(u):
-        pos[j], pos[r + j] = 2 * i, 2 * i + 1
-    if slab:
-        pos[r + u[-1]] = 2 * len(u) - 2
-    levels = list(zip(c.image, exps))[2 * len(v):2 * r - slab]
-    axes, level_exps = [pos[axis - 1] for axis, _ in levels], [p for _, p in levels]
+    # A slab fixes the time shift of w = u[-1].  It holds the axes `held`, (k, l)
+    # of each variable of u but k of w, then the points t_v flat.  Each slab is
+    # contracted over the levels inside k_w's; the rest are stacked over k_w.
+    held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]
+    axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
+    split = axes.index(u[-1] + 1)
+    stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
     points = n ** len(v)
-
-    def contract(arr):
-        if v:
-            arr = lp_norm(np.abs(arr.reshape(-1, points)), 2.0)
-        return _contract(arr.reshape((n,) * len(axes)), axes, level_exps)
 
     rows = shifted_window(window)
     arr = obj.grid.transpose(u + v)
-    for i in range(len(u) - slab):
+    for i in range(len(u) - 1):
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
-    if slab:
-        before = n ** (2 * len(u) - 2)
-        norm = lp_norm(np.array([contract(stft_axis(arr, rows[k:k + 1], before, points))
-                                 for k in range(n)]), exps.exps[-1])
-    else:
-        norm = contract(arr)
+
+    def remainder(k):  # the slab at time shift k of w, contracted inside k_w's level
+        slab = stft_axis(arr, rows[k:k + 1], n ** (2 * len(u) - 2), points)
+        if v:
+            slab = lp_norm(np.abs(slab.reshape(-1, points)), 2.0)
+        return _contract(slab.reshape((n,) * len(held)),
+                         [held.index(a) for a in axes[:split]], level_exps[:split])
+
+    norm = _contract(np.array([remainder(k) for k in range(n)]),
+                     [stacked.index(a) for a in axes[split:]], level_exps[split:])
     return float(norm) * window.norm() ** len(v)

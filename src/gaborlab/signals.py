@@ -1,7 +1,7 @@
 """Signals on the cyclic group Z_n^d.
 
-Provides the signal type FiniteSignal and its operations: time-frequency
-shifts, the unitary DFT and the normalized short-time Fourier transform.
+Provides the signal type FiniteSignal and its operations: the unitary DFT
+and the normalized short-time Fourier transform.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "FiniteSignal",
-    "tf_shift",
     "dft",
     "stft",
     "delta",
@@ -91,24 +90,6 @@ def random_signal(n: int, dim: int, rng: np.random.Generator) -> FiniteSignal:
     shape = (n,) * dim
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return FiniteSignal(n, dim, vals / np.sqrt(2.0))
-
-
-def _index_vector(v, dim: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=np.int64))
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have length {dim}")
-    return arr
-
-
-def tf_shift(f: FiniteSignal, k, l) -> FiniteSignal:
-    """Time-frequency shift M_l T_k: t -> w^(l.t) f(t - k)."""
-    k = _index_vector(k, f.dim, "k") % f.n
-    l = _index_vector(l, f.dim, "l") % f.n
-    shifted = np.roll(f.grid, tuple(k), axis=tuple(range(f.dim)))
-    coords = np.indices((f.n,) * f.dim)
-    phase = np.tensordot(l, coords, axes=(0, 0))
-    out = np.exp(2j * np.pi * phase / f.n) * shifted
-    return FiniteSignal(f.n, f.dim, out)
 
 
 def dft(f: FiniteSignal) -> FiniteSignal:

@@ -301,19 +301,30 @@ class TestMemoryGuard:
                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
-        # T4.4b's slab rule holds two n^5 complex arrays and their absolute values.
+        # T4.4b's streamed rule holds two n^5 complex arrays and their absolute values.
         need = 40 * 512 ** 5 + 48 * 512 ** 4 + 16 * 512 ** 2 + 2 ** 19
         assert "n = 512" in err and str(need) in err
         assert not out.exists()
 
     def test_sharpness_factors_are_planned(self, monkeypatch):
-        # SHARP-T4.3's b1 factor keeps one untransformed variable: n^3 entries,
-        # 40 bytes each under an l^2 collapse.
-        need = 40 * 64 ** 3 + 48 * 64 ** 2 + 16 * 64 ** 2 + 2 ** 19
+        # SHARP-T4.3's b1 factor keeps one untransformed variable and streams
+        # the other: slabs of n^2 entries, 56 bytes each under an l^2 collapse.
+        need = 56 * 64 ** 2 + 48 * 64 + 16 * 64 ** 2 + 2 ** 19
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 66), trials=1)
         with pytest.raises(ConfigError, match="n = 66"):
             sharpness_experiment(cfg)
+
+    def test_t32_at_n64_fits_two_gib(self, monkeypatch):
+        # T3.2's streamed plan holds n^4 entries at a time, about 0.9 GiB at n = 64.
+        monkeypatch.setattr(lab, "_available_bytes", lambda: 2 * 2 ** 30)
+
+        def sentinel(*args):
+            raise RuntimeError("reached the first trial")
+
+        monkeypatch.setattr(lab, "_build_trial", sentinel)
+        with pytest.raises(RuntimeError, match="reached the first trial"):
+            run_cli(["verify", "--theorem", "T3.2", "--n", "64", "--trials", "1"])
 
     @pytest.mark.parametrize("theorem,control", _ARMS,
                              ids=[t + "-control" * c for t, c in _ARMS])

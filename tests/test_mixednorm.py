@@ -20,6 +20,7 @@ from gaborlab.mixednorm import (
     ExponentVector,
     Permutation,
     _plan,
+    _streams,
     classify_permutation,
     lp_norm,
     mixed_modulation_norm,
@@ -325,15 +326,12 @@ def _moyal_case(rng):
 
 
 def _slab_case(rng):
-    """A rank-3 (permutation, exponents) whose outermost level is a time
-    axis and whose innermost exponent is not 2, so that no variable collapses."""
+    """A rank-3 (permutation, exponents), any permutation, whose innermost
+    exponent is not 2, so that no variable collapses."""
     n = int(rng.integers(2, 9))
-    image = list(rng.permutation(6) + 1)
-    time_axis = int(rng.integers(1, 4))
-    image.remove(time_axis)
     exps = [float(rng.choice([1.0, 1.5, INF]))] + [
         float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])) for _ in range(5)]
-    return 3, n, image + [time_axis], exps
+    return 3, n, list(rng.permutation(6) + 1), exps
 
 
 class TestNormPlanner:
@@ -372,33 +370,38 @@ class TestNormPlanner:
             rng = np.random.default_rng([seed, len(kind), len(window), 3])
             case = _slab_case(rng)
             rank, _, image, exps = case
-            assert _plan(rank, Permutation(tuple(int(a) for a in image)),
-                         ExponentVector(tuple(exps)))[2]
+            assert _streams(rank, _plan(rank, Permutation(tuple(int(a) for a in image)),
+                                        ExponentVector(tuple(exps)))[1])
             self._check(case, window, kind, scale, seed)
 
-    # Bytes per entry of the largest array where they are not 40 (16 for the
-    # entry, 8 for its absolute value, 16 for temporaries at q = 2): no
-    # temporaries at q = inf, 8 at another q != 1, and 16 more for a slab's source.
+    # Bytes per entry of the largest array where they are not 40: a full-STFT
+    # entry takes 16, 8 for its absolute value and 16 for temporaries at q = 2;
+    # a streamed entry takes 32 (the slab and its source) + 8 + temporaries,
+    # which are none at q = inf and 8 at another q != 1.
     _PER_ENTRY = {((1, 2), (INF, 1)): 24, ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2)): 32,
+                  ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): 56,
+                  ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): 56,
+                  ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): 56,
                   ((2, 5, 1, 4, 6, 3), (2,) * 6): 56,
+                  ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): 56,
                   ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): 48}
 
     @pytest.mark.parametrize("image,exps,rule,power", [
-        ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1], False), 5),   # T3.2
-        ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF), ([2], [0, 1], False), 4),       # T3.2, p = 2
-        ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # T4.4b
-        ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # T4.5b
-        ((1, 3, 2, 4), (2, 2, 1.5, 1.5), ([1], [0], False), 3),                   # T2.9
-        ((4, 1, 2, 3), (2, 1.5, 1.5, 1.5), ([0, 1], [], False), 4),               # T4.5a
-        ((4, 1, 2, 3), (2, 2, 2, 2), ([0, 1], [], False), 4),                     # T4.5a, p = 2
-        ((1, 2), (2, 2), ([0], [], False), 2),                                    # all-2, rank 1
-        ((2, 5, 1, 4, 6, 3), (2,) * 6, ([0, 1, 2], [], True), 5),                 # all-2, rank 3
-        ((1, 2), (2, 1.5), ([0], [], False), 2),                                  # T4.2a
-        ((1, 2), (INF, 1), ([0], [], False), 2),                                  # T4.2a's g
-        ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], [], False), 4),      # l^2 levels, no pair
-        ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1), ([2], [0, 1], False), 4),  # pairs in any order
-        ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2), ([0, 1], [], False), 4),               # innermost 1.5
-        ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], [], True), 5),  # slab, 1.5
+        ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1]), 4),     # T3.2
+        ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF), ([2], [0, 1]), 3),         # T3.2, p = 2
+        ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], []), 5),   # T4.4b
+        ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1), ([0, 1, 2], []), 5),  # T4.5b
+        ((1, 3, 2, 4), (2, 2, 1.5, 1.5), ([1], [0]), 2),                      # T2.9
+        ((4, 1, 2, 3), (2, 1.5, 1.5, 1.5), ([0, 1], []), 4),                  # T4.5a
+        ((4, 1, 2, 3), (2, 2, 2, 2), ([0, 1], []), 4),                        # T4.5a, p = 2
+        ((1, 2), (2, 2), ([0], []), 2),                                       # all-2, rank 1
+        ((2, 5, 1, 4, 6, 3), (2,) * 6, ([1, 0, 2], []), 5),                   # all-2, rank 3
+        ((1, 2), (2, 1.5), ([0], []), 2),                                     # T4.2a
+        ((1, 2), (INF, 1), ([0], []), 2),                                     # T4.2a's g
+        ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], []), 4),          # l^2 levels, no pair
+        ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1), ([2], [0, 1]), 3),  # pairs in any order
+        ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2), ([0, 1], []), 4),                  # innermost 1.5
+        ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], []), 5),   # streamed, 1.5
     ])
     def test_plan_of_each_theorem(self, image, exps, rule, power):
         c, e = Permutation(image), ExponentVector(exps)
@@ -413,10 +416,11 @@ class TestNormPlanner:
         (24, (1, 3, 2, 4), (INF, 2, 1.5, 1.5)),              # full STFT, innermost inf
         (24, (1, 2, 3, 4), (2, 2, 1.5, 1.5)),                # full STFT, innermost 2
         (24, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT, innermost 1.5
-        (64, (1, 3, 2, 4), (2, 2, 1.5, 1.5)),                # Moyal, T2.9
-        (16, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # Moyal, T3.2
-        (16, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # slab, T4.4b
-        (16, (6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)),  # slab, innermost 1.5
+        (256, (1, 3, 2, 4), (2, 2, 1.5, 1.5)),               # streamed, T2.9
+        (16, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # streamed, T3.2
+        (16, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # streamed, T4.4b
+        (16, (6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)),  # streamed, innermost 1.5
+        (16, (1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),  # streamed, l outermost
     ])
     def test_planned_bytes_bound_the_working_set(self, n, image, exps):
         # The plan holds the traced peak of the norm and at most half again.
@@ -449,9 +453,10 @@ class TestNormPlanner:
         assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("case", [
-        (2, 7, (1, 3, 2, 4), (2, 2, 1.5, INF)),            # Moyal rule
-        (3, 5, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # Moyal rule
-        (3, 5, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # slab rule
+        (2, 7, (1, 3, 2, 4), (2, 2, 1.5, INF)),                # l^2 collapse
+        (3, 5, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # l^2 collapse
+        (3, 5, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # k outermost
+        (3, 5, (6, 1, 4, 2, 3, 5), (INF, 2, 2, 1.5, 1.5, 1)),  # l outermost
     ])
     def test_tensor_window_gives_the_same_norm(self, case):
         # An r-dimensional window takes the full STFT; its tensor-power

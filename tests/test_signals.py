@@ -12,9 +12,26 @@ from gaborlab.signals import (
     periodized_gaussian,
     random_signal,
     stft,
-    tf_shift,
 )
 from gaborlab.mixednorm import tensor_window
+
+
+def _index_vector(v, dim: int, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(v, dtype=np.int64))
+    if arr.shape != (dim,):
+        raise ValueError(f"{name} must have length {dim}")
+    return arr
+
+
+def tf_shift(f: FiniteSignal, k, l) -> FiniteSignal:
+    """Time-frequency shift M_l T_k: t -> w^(l.t) f(t - k)."""
+    k = _index_vector(k, f.dim, "k") % f.n
+    l = _index_vector(l, f.dim, "l") % f.n
+    shifted = np.roll(f.grid, tuple(k), axis=tuple(range(f.dim)))
+    coords = np.indices((f.n,) * f.dim)
+    phase = np.tensordot(l, coords, axes=(0, 0))
+    out = np.exp(2j * np.pi * phase / f.n) * shifted
+    return FiniteSignal(f.n, f.dim, out)
 
 
 def _rand(n, dim, seed):
