@@ -3,7 +3,8 @@
 Two forms, both built by fio_operator from the symbol-phase product:
 
 * "easy":  A f(x) = sum_xi a(x, xi) exp(2 pi i phi(x, xi)) f_hat(xi),
-  assembled as K @ F with K = a * exp(2 pi i phi) and F the unitary DFT.
+  assembled as K @ F with K = a * exp(2 pi i phi) and F the unitary DFT,
+  taken from numpy.fft along the xi axis of K.
 * "hard":  kernel k(x, y) = n^(-1/2) sum_xi b(x, y, xi) exp(2 pi i psi),
   acting by A f(x) = sum_y k(x, y) f(y).
 
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import GaborSystem, _coefficients, dual_window
+from .frames import GaborSystem, analyze, dual_window
 from .operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
-from .signals import FiniteSignal
+from .signals import FiniteSignal, shifted_window, stft_axis
 
 __all__ = [
-    "dft_matrix",
     "oscillatory",
     "fio_operator",
     "build_easy_fio",
@@ -33,12 +33,6 @@ __all__ = [
     "quadratic_phase_table",
     "fio_slice_family",
 ]
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F[xi, t] = n^(-1/2) w^(-xi t)."""
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
 def oscillatory(sym: SymbolTable, phase: PhaseTable) -> np.ndarray:
@@ -51,7 +45,7 @@ def oscillatory(sym: SymbolTable, phase: PhaseTable) -> np.ndarray:
 def fio_operator(prod: np.ndarray) -> OperatorMatrix:
     """Easy form prod @ F of a rank-2 product, hard form n^(-1/2) sum_xi prod of a rank-3 one."""
     if prod.ndim == 2:
-        return OperatorMatrix(prod @ dft_matrix(len(prod)))
+        return OperatorMatrix(np.fft.fft(prod, axis=1, norm="ortho"))
     if prod.ndim == 3:
         return OperatorMatrix(prod.sum(axis=2) / np.sqrt(len(prod)))
     raise ValueError(f"an FIO product has rank 2 or 3, got {prod.ndim}")
@@ -105,9 +99,10 @@ def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple
     if b.rank != 3 or b.n != sys.n:
         raise ValueError("slicing expects rank-3 tables on the system's Z_n")
     n = sys.n
-    weights = _coefficients(sys, np.ones(n))
-    dual = sys.with_window(dual_window(sys))
-    kernels = _coefficients(dual, oscillatory(b, psi)) / np.sqrt(n)  # (x, y, k, l)
+    weights = analyze(sys, FiniteSignal(n, 1, np.ones(n)))
+    rows = shifted_window(dual_window(sys), sys.a)
+    kernels = stft_axis(oscillatory(b, psi), rows, n * n, 1, sys.b) / np.sqrt(n)
+    kernels = kernels.reshape(n, n, *weights.shape)  # (x, y, k, l)
     ops = np.empty(weights.shape, dtype=object)
     for idx in np.ndindex(weights.shape):
         ops[idx] = OperatorMatrix(kernels[(...,) + idx])

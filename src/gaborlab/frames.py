@@ -2,8 +2,9 @@
 
 Frame operator (Walnut's closed form), frame bounds, dual and canonical
 tight windows, analysis/synthesis and the lattice-vs-full-lattice norm
-equivalence check.  Every lattice coefficient comes from one map: shifted
-windows, a fold of the time axis with period n/b, one length-n/b FFT.
+equivalence check.  Every lattice coefficient comes from one map,
+signals.stft_axis: the shifted windows of signals.shifted_window over aZ_n,
+a fold of the time axis with period n/b, one length-n/b FFT.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .mixednorm import ExponentVector, Permutation, mixed_modulation_norm, mixed_norm
 from .operators import OperatorMatrix
-from .signals import FiniteSignal
+from .signals import FiniteSignal, shifted_window, stft_axis
 
 __all__ = [
     "NotAFrameError",
@@ -57,33 +58,15 @@ class GaborSystem:
     def n(self) -> int:
         return self.window.n
 
-    @property
-    def time_nodes(self) -> np.ndarray:
-        return np.arange(0, self.n, self.a)
-
     def with_window(self, window: FiniteSignal) -> "GaborSystem":
         return GaborSystem(window, self.a, self.b)
-
-
-def _shift_table(sys: GaborSystem) -> np.ndarray:
-    """Conjugated shifted windows conj(g(t - k)), k in aZ_n, as an (n/a, n) table."""
-    g = sys.window.values
-    return g[(np.arange(sys.n) - sys.time_nodes[:, None]) % sys.n].conj()
-
-
-def _coefficients(sys: GaborSystem, x) -> np.ndarray:
-    """<x, M_l T_k g> of an (..., n) array as (..., n/a, n/b): folding the
-    time axis with period n/b samples the frequencies at bZ_n."""
-    m = sys.n // sys.b
-    prod = np.asarray(x)[..., None, :] * _shift_table(sys)
-    return np.fft.fft(prod.reshape(prod.shape[:-1] + (sys.b, m)).sum(axis=-2), axis=-1)
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     """S f = sum of <f, M_l T_k g> M_l T_k g, in Walnut's form S(t, t') =
     (n/b) sum_k g(t - k) conj(g(t' - k)) if t = t' mod n/b, and 0 otherwise."""
     n, m = sys.n, sys.n // sys.b
-    w = _shift_table(sys)
+    w = shifted_window(sys.window, sys.a)
     t = np.arange(n)
     same_class = (t[:, None] - t[None, :]) % m == 0
     return OperatorMatrix(np.where(same_class, m * (w.T.conj() @ w), 0.0))
@@ -125,7 +108,7 @@ def analyze(sys: GaborSystem, f: FiniteSignal) -> np.ndarray:
     """Coefficients <f, M_l T_k g> as an (n/a, n/b) array (time axis first)."""
     if f.dim != 1 or f.n != sys.n:
         raise ValueError("signal must live on the system's Z_n")
-    return _coefficients(sys, f.values)
+    return stft_axis(f.values, shifted_window(sys.window, sys.a), 1, 1, sys.b)[0, ..., 0]
 
 
 def synthesize(sys: GaborSystem, coeffs: np.ndarray) -> FiniteSignal:
@@ -133,11 +116,11 @@ def synthesize(sys: GaborSystem, coeffs: np.ndarray) -> FiniteSignal:
     l is a length-n/b inverse FFT tiled b times."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     m = sys.n // sys.b
-    shape = (len(sys.time_nodes), m)
+    shape = (sys.n // sys.a, m)
     if coeffs.shape != shape:
         raise ValueError(f"coefficient array must have shape {shape}")
     tiled = np.tile(m * np.fft.ifft(coeffs, axis=-1), sys.b)
-    return FiniteSignal(sys.n, 1, (tiled * _shift_table(sys).conj()).sum(axis=0))
+    return FiniteSignal(sys.n, 1, (tiled * shifted_window(sys.window, sys.a).conj()).sum(axis=0))
 
 
 def banach_frame_equivalence(sys: GaborSystem, c: Permutation, exps: ExponentVector,

@@ -372,10 +372,8 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
     request), "random-phase" (uniform PhaseTable in cycles).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = (n,) * rank
     if kind == "gaussian-symbol":
-        vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        return SymbolTable(n, rank, vals)
+        return SymbolTable(n, rank, random_signal(n, rank, rng).grid)
     if kind == "quadratic-phase":
         q = rng.integers(-2, 3, size=rank)
         m = rng.integers(-2, 3, size=(rank, rank))
@@ -386,7 +384,7 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
         qp.check_well_defined(n)
         return qp
     if kind == "random-phase":
-        return PhaseTable(n, rank, rng.random(shape))
+        return PhaseTable(n, rank, rng.random((n,) * rank))
     raise ConfigError(f"unknown ensemble kind {kind!r}")
 
 

@@ -263,7 +263,7 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
     points = n ** len(v)
 
-    rows = shifted_window(window)
+    rows = shifted_window(window) * n ** -0.5
     arr = obj.grid.transpose(u + v)
     for i in range(len(u) - 1):
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))

@@ -1,7 +1,10 @@
 """Signals on the cyclic group Z_n^d.
 
 Provides the signal type FiniteSignal and its operations: the unitary DFT
-and the normalized short-time Fourier transform.
+and the normalized short-time Fourier transform.  Every time-frequency
+coefficient comes from shifted_window, the shifted windows over a lattice aZ_n,
+and stft_axis, which multiplies a time axis by them, folds it with period n/b
+and takes one FFT.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -99,19 +102,25 @@ def dft(f: FiniteSignal) -> FiniteSignal:
     return FiniteSignal(f.n, f.dim, out)
 
 
-def shifted_window(g: FiniteSignal) -> np.ndarray:
-    """The (n, n) array w[k, t] = n^(-1/2) conj g(t - k) of a 1-D window."""
-    t = np.arange(g.n)
-    return np.conj(g.values)[(t[None, :] - t[:, None]) % g.n] * g.n ** -0.5
+def shifted_window(g: FiniteSignal, a: int = 1) -> np.ndarray:
+    """The table conj g(t - k) for time shifts k in (aZ_n)^d, indexed (k_1, ...,
+    k_d, t_1, ..., t_d): an (n/a, n) table for a 1-D window."""
+    t, d = np.arange(g.n), g.dim
+    idx = (t[None, :] - t[::a, None]) % g.n  # idx[j, t] = (t - a j) mod n, on axes j and d + j
+    return np.conj(g.grid)[tuple(idx.reshape((1,) * j + (len(idx),) + (1,) * (d - 1) + (g.n,)
+                                             + (1,) * (d - j - 1)) for j in range(d))]
 
 
-def stft_axis(arr: np.ndarray, rows: np.ndarray, before: int, after: int) -> np.ndarray:
-    """One variable's STFT.  `arr` holds before * n * after entries, its
-    middle axis being a time axis t; `rows` is shifted_window's w, or the
-    rows of it for the time shifts k wanted.  Returns the (before, K, n,
-    after) array V[., k, l, .] = sum_t arr[., t, .] w[k, t] e^(-2 pi i l t / n)."""
+def stft_axis(arr: np.ndarray, rows: np.ndarray, before: int, after: int,
+              b: int = 1) -> np.ndarray:
+    """One variable's STFT at the frequencies bZ_n.  `arr` holds before * n *
+    after entries, its middle axis a time axis t; `rows` is a (K, n) table of
+    shifted windows.  Returns the (before, K, n/b, after) array V[., k, l, .] =
+    sum_t arr[., t, .] rows[k, t] e^(-2 pi i b l t / n), t folded with period n/b."""
     n = rows.shape[1]
     out = arr.reshape(before, 1, n, after) * rows[:, :, None]
+    if b > 1:
+        out = out.reshape(before, len(rows), b, n // b, after).sum(axis=2)
     np.fft.fft(out, axis=2, out=out)
     return out
 
@@ -127,7 +136,7 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
         raise ValueError("signal and window live on different groups")
     n, d = f.n, f.dim
     if g.dim == 1:
-        rows = shifted_window(g)
+        rows = shifted_window(g) * n ** -0.5
         arr = f.values
         for j in range(d):
             # arr is (k_1, l_1, ..., k_j, l_j, t_{j+1}, ..., t_d), flat.
@@ -136,13 +145,8 @@ def stft(f: FiniteSignal, g: FiniteSignal) -> np.ndarray:
         return arr.reshape((n,) * (2 * d)).transpose(order)
     if g.dim != d:
         raise ValueError(f"window dimension {g.dim} is neither 1 nor {d}")
-    # General window: gather conj(g)(t - k) through idx on every axis pair
-    # (k_j, t_j), then one FFT over the point axes.
-    t = np.arange(n)
-    idx = (t[None, :] - t[:, None]) % n  # idx[k, t] = (t - k) mod n
-    gather = tuple(idx.reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - j - 1))
-                   for j in range(d))
-    h = f.grid * np.conj(g.grid)[gather]
+    # General window: shifted on every axis pair (k_j, t_j), one FFT over the t_j.
+    h = f.grid * shifted_window(g)
     np.fft.fftn(h, axes=tuple(reversed(range(d, 2 * d))), out=h)
     return h * n ** (-d / 2)
 

@@ -15,7 +15,6 @@ from gaborlab.fio import (
     apply_chirp,
     build_easy_fio,
     build_hard_fio,
-    dft_matrix,
     fio_slice_family,
     oscillatory,
     quadratic_phase_table,
@@ -40,7 +39,7 @@ from gaborlab.operators import OperatorMatrix, PhaseTable, QuadraticPhase, Symbo
 from gaborlab.schatten import pair_functional, schatten_norm
 from gaborlab.signals import delta, dft, periodized_gaussian, random_signal, stft
 
-from test_fio import easy_fio_oracle, hard_fio_oracle
+from test_fio import dft_matrix, easy_fio_oracle, hard_fio_oracle
 from test_mixednorm import classify_oracle, nested_norm_oracle
 
 

@@ -7,7 +7,6 @@ from gaborlab.fio import (
     apply_chirp,
     build_easy_fio,
     build_hard_fio,
-    dft_matrix,
     fio_operator,
     fio_slice_family,
     oscillatory,
@@ -25,6 +24,13 @@ def _tables(n, rank, seed):
                       + 1j * rng.standard_normal((n,) * rank))
     phase = PhaseTable(n, rank, rng.random((n,) * rank))
     return sym, phase
+
+
+def dft_matrix(n):
+    """Unitary DFT matrix F[xi, t] = n^(-1/2) w^(-xi t), the dense reference
+    for the numpy.fft transform of the easy form."""
+    idx = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
 def easy_fio_oracle(a, phi):

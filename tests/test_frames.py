@@ -18,7 +18,7 @@ from gaborlab.frames import (
 )
 from gaborlab.mixednorm import ExponentVector, Permutation
 from gaborlab.operators import PhaseTable, SymbolTable
-from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal
+from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal, stft
 
 
 def _rand(n, seed):
@@ -163,7 +163,8 @@ def _system(n, a, b, window):
 @pytest.mark.parametrize("n,a,b", LATTICES)
 class TestLatticeCoefficientOracle:
     """Walnut frame operator, folded-FFT analysis and its adjoint agree with
-    the dense element rows to 1e-12 relative."""
+    the dense element rows, and analysis with the sampled STFT, to 1e-12
+    relative."""
 
     @pytest.fixture
     def sys(self, n, a, b, window):
@@ -176,6 +177,12 @@ class TestLatticeCoefficientOracle:
     def test_analyze(self, sys):
         f = _rand(sys.n, 1)
         want = (element_rows(sys).conj() @ f.values).reshape(sys.n // sys.a, -1)
+        assert _close(analyze(sys, f), want)
+
+    def test_analyze_samples_the_stft(self, sys):
+        """The lattice coefficients are the STFT sampled on aZ_n x bZ_n, times n^(1/2)."""
+        f = _rand(sys.n, 1)
+        want = np.sqrt(sys.n) * stft(f, sys.window)[::sys.a, ::sys.b]
         assert _close(analyze(sys, f), want)
 
     def test_synthesize(self, sys):
