@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: dgt, framebounds, dualwindow, tightwindow, mixednorm,
-schatten, verify, sharpness, multbound.  Exit codes: 0 success,
+schatten, verify, sharpness.  Exit codes: 0 success,
 1 configuration/user error, 2 numerical failure (non-finite values).
 """
 
@@ -82,7 +82,7 @@ def _schatten(args) -> dict:
 
 def _experiment(args, experiment) -> int:
     # The config file's fields, overlaid by every experiment flag given.
-    fields = _read(args.config) if getattr(args, "config", None) else {}
+    fields = _read(args.config) if args.config else {}
     unknown = sorted(set(fields) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{args.config} has unknown key {unknown[0]!r}")
@@ -102,14 +102,6 @@ def _experiment(args, experiment) -> int:
         sys.stdout.write(report.csv_body())
     print(json.dumps(report.summary(), sort_keys=True))
     return 0
-
-
-def _multbound(args) -> int:
-    exps = ExponentVector.parse(args.exps).exps
-    if len(exps) != 2 or exps[0] != 2.0:
-        raise ConfigError(f"--exps must follow the (2, q) pattern, got {args.exps}")
-    args.theorem_id, args.p = "T4.2a", exps[1]
-    return _experiment(args, ratio_experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +187,6 @@ _COMMANDS = {
                lambda args: _experiment(args, ratio_experiment)),
     "sharpness": ("blow-up experiment for SHARP-* ids", _EXPERIMENT_FLAGS,
                   lambda args: _experiment(args, sharpness_experiment)),
-    "multbound": ("pointwise multiplication bound",
-                  {**{flag: _EXPERIMENT_FLAGS[flag] for flag in
-                      ("--n", "--seed", "--perm", "--trials", "--window", "--out")},
-                   "--exps": dict(default="2,1.5", help="exponents 2,q")},
-                  _multbound),
 }
 
 

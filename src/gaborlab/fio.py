@@ -69,10 +69,7 @@ def apply_chirp(f: FiniteSignal, m) -> FiniteSignal:
     qp = QuadraticPhase(0.0, np.zeros(m.shape[0], dtype=np.int64), m)
     if qp.rank != f.dim:
         raise ValueError("chirp matrix dimension must match the signal")
-    qp.check_well_defined(f.n)
-    coords = np.indices((f.n,) * f.dim).reshape(f.dim, -1)
-    quad = np.einsum("it,ij,jt->t", coords, m, coords)
-    return FiniteSignal(f.n, f.dim, np.exp(1j * np.pi * quad / f.n) * f.values)
+    return FiniteSignal(f.n, f.dim, quadratic_phase_table(qp, f.n).unit_table() * f.grid)
 
 
 def quadratic_phase_table(qp: QuadraticPhase, n: int) -> PhaseTable:

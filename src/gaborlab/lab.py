@@ -360,7 +360,7 @@ def make_window(kind: str, n: int, seed: int = 0) -> FiniteSignal:
     if kind == "random":
         rng = np.random.default_rng([seed, 7919])
         w = random_signal(n, 1, rng)
-        return w.scaled(1.0 / w.norm())
+        return FiniteSignal(n, 1, w.values * (1.0 / w.norm()))
     raise ConfigError(f"unknown window kind {kind!r}")
 
 

@@ -69,9 +69,6 @@ class FiniteSignal:
             raise ValueError("signals live on different groups")
         return complex(np.vdot(other.values, self.values))
 
-    def scaled(self, alpha: complex) -> "FiniteSignal":
-        return FiniteSignal(self.n, self.dim, alpha * self.values)
-
 
 def delta(n: int) -> FiniteSignal:
     """Point mass at 0 on Z_n."""

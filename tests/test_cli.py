@@ -14,6 +14,7 @@ import pytest
 
 from gaborlab import cli
 from gaborlab.cli import build_parser, run_cli
+from gaborlab.lab import ExperimentConfig, ratio_experiment
 from gaborlab.serialize import array_from_dict, signal_from_dict, signal_to_dict
 from gaborlab.signals import periodized_gaussian, random_signal, stft
 
@@ -304,24 +305,28 @@ def test_sharpness_control_arm(capsys):
     assert summary["growth_factor"] <= 1.5
 
 
-def test_multbound_subcommand(capsys):
-    assert run_cli(["multbound", "--n", "8", "--trials", "2", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("theorem,n,trial")
+def test_verify_runs_the_multiplication_bound(capsys):
+    """`verify --theorem T4.2a` prints the MULT rows and summary of the T4.2a experiment."""
+    assert run_cli(["verify", "--theorem", "T4.2a", "--n", "8,12", "--p", "1.25",
+                    "--trials", "2", "--seed", "3"]) == 0
+    report = ratio_experiment(ExperimentConfig(theorem_id="T4.2a", n_values=(8, 12), p=1.25,
+                                               trials=2, seed=3))
+    assert capsys.readouterr().out == report.csv_body() + json.dumps(
+        report.summary(), sort_keys=True) + "\n"
+    assert report.summary()["theorem"] == "MULT"
 
 
-@pytest.mark.parametrize("flags", [
-    ["--n", "8", "--trials", "0"],
-    ["--n", "1"],
-    ["--n", "8", "--exps", "2,3"],
-    ["--n", "8", "--exps", "1.5,1.5"],
-], ids=["trials-0", "n-1", "exps-2,3", "exps-1.5,1.5"])
-def test_multbound_rejects(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags,names", [
+    (["--n", "8", "--trials", "0"], "trials"),
+    (["--n", "1"], "n_values"),
+], ids=["trials-0", "n-1"])
+def test_verify_multiplication_bound_rejects(tmp_path, capsys, flags, names):
     out = tmp_path / "mult.csv"
-    assert run_cli(["multbound", *flags, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not out.exists()
+    assert run_cli(["verify", "--theorem", "T4.2a", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert names in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 USAGE_ERRORS = {
@@ -335,7 +340,6 @@ USAGE_ERRORS = {
     "p-abc": (["verify", "--theorem", "T3.1", "--n", "8", "--p", "abc"], "--p"),
     "no-theorem": (["verify", "--n", "8"], "--theorem (theorem_id) is required"),
     "no-n": (["sharpness", "--theorem", "SHARP-T4.3"], "--n (n_values) is required"),
-    "multbound-no-n": (["multbound", "--trials", "1"], "--n (n_values) is required"),
     "raise-and-control": (["sharpness", "--theorem", "SHARP-T4.3", "--n", "8",
                            "--raise", "5=inf", "--control"], "control_arm"),
 }
@@ -472,7 +476,7 @@ def test_readme_cli_examples_parse():
 
 
 SUBCOMMANDS = ("dgt", "framebounds", "dualwindow", "tightwindow", "mixednorm",
-               "schatten", "verify", "sharpness", "multbound")
+               "schatten", "verify", "sharpness")
 
 
 def _subparsers(parser):

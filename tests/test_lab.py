@@ -230,6 +230,20 @@ class TestRatioExperiment:
         assert len(calls) == 3
 
 
+def _raised_slots():
+    """(id, raise_slots, p, 1/p_j - 1/q) for each one-slot raise of a constant
+    factor's level from its base exponent p_j to a q > p_j.  An id names q only
+    when it is finite, so the default q = inf raise keeps its id-p name."""
+    for theorem, slot in (("SHARP-T2.9", 3), ("SHARP-T4.3", 5), ("SHARP-T4.4", 6)):
+        for p in (1.0, 1.25, 1.5, 2.0):
+            p_j = lab.THEOREMS[lab.SHARPNESS[theorem][0]].exps(p)[slot - 1]
+            for q in (1.25, 2.0, 4.0, math.inf):
+                if q > p_j:
+                    suffix = "" if math.isinf(q) else f"-q{q}"
+                    yield pytest.param(theorem, {slot: q}, p, 1 / p_j - 1 / q,
+                                       id=f"{theorem}-{p}{suffix}")
+
+
 class TestExactIdentities:
     """Closed forms that pin the STFT's n^(-d/2) normalisation exactly."""
 
@@ -260,18 +274,20 @@ class TestExactIdentities:
 
 
     @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
-    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
-    @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
-    def test_violated_arm_is_n_times_control(self, theorem, p, window):
-        # |V_g 1(k, l)| = |g_hat(l)| for every k, so raising the k_xi level
-        # from l^1 to l^inf divides the constant factor's norm by exactly n.
-        def ratios(control):
-            cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 16), p=p, trials=2,
-                                   seed=6, window_kind=window, control_arm=control)
+    @pytest.mark.parametrize("theorem,raise_slots,p,power", _raised_slots())
+    def test_violated_arm_is_n_times_control(self, theorem, raise_slots, p, power, window):
+        # The raised level runs over the time shift k of the constant factor 1,
+        # and |V_g 1(k, l)| = |g_hat(l)| for every k, so raising it from l^p_j
+        # to l^q divides the norm, and so multiplies the ratio, by exactly
+        # n^(1/p_j - 1/q).
+        def ratios(raise_slots):
+            cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 12, 16), p=p, trials=2,
+                                   seed=6, window_kind=window, raise_slots=raise_slots)
             return [(r.n, r.ratio) for r in sharpness_experiment(cfg).records]
 
-        for (n, violated), (_, control) in zip(ratios(False), ratios(True), strict=True):
-            assert abs(violated - n * control) <= 1e-12 * violated, (n, violated, control)
+        for (n, violated), (_, control) in zip(ratios(raise_slots), ratios({}), strict=True):
+            assert abs(violated - n ** power * control) <= 1e-12 * violated, \
+                (n, violated, control)
 
     @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
     @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -287,6 +303,36 @@ class TestExactIdentities:
         want = ratios("T2.9")
         for theorem in ("T4.3a", "T4.4a"):
             np.testing.assert_allclose(ratios(theorem), want, rtol=1e-12, atol=0)
+
+
+class TestRandomEnsembleLaw:
+    """The ratio of an i.i.d. CN(0, 1) draw follows m_p^(1/p) n^alpha."""
+
+    @pytest.mark.parametrize("window", ["delta", "gaussian-sampled", "random"])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("theorem", ["T2.9", "T3.1"])
+    def test_ratio_follows_the_quarter_circle_law(self, theorem, p, window):
+        # The singular values of an n x n i.i.d. CN(0, 1) matrix follow the
+        # quarter-circle law on [0, 2 sqrt(n)], so ||K||_(S_p) is about
+        # m_p^(1/p) n^(1/2 + 1/p), with m_p = int_0^2 s^p sqrt(4 - s^2) / pi ds.
+        # Each STFT entry of a rank-r draw is CN(0, n^-r) for a unit window, and
+        # each finite l^p_j level sums n such entries, so the mixed norm is about
+        # n^(sum 1/p_j - r/2) over the finite p_j.
+        cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 16, 32, 64), p=p, trials=3,
+                               seed=11, window_kind=window)
+        exps = cfg.exponents().exps
+        r = len(exps) // 2
+        alpha = 0.5 + 1 / p + r / 2 - sum(1 / e for e in exps if e < math.inf)
+        m_p = (2 ** (p + 1) * math.gamma((p + 1) / 2) * math.gamma(1.5)
+               / (math.pi * math.gamma(p / 2 + 2)))
+        by_n = {}
+        for r in ratio_experiment(cfg).records:
+            by_n.setdefault(r.n, []).append(r.ratio)
+        for n in (32, 64):
+            law = m_p ** (1 / p) * n ** alpha
+            assert abs(np.mean(by_n[n]) / law - 1) <= 0.05, (n, np.mean(by_n[n]) / law)
+        slope = np.polyfit(np.log(list(by_n)), np.log([max(v) for v in by_n.values()]), 1)[0]
+        assert abs(slope - alpha) <= 0.05, (slope, alpha)
 
 
 class TestMemoryGuard:
