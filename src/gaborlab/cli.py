@@ -94,10 +94,10 @@ def _experiment(args, experiment) -> int:
     cfg = ExperimentConfig(**fields)
     report = experiment(cfg)
     if not report.all_finite():
-        print("error: non-finite values in trial records", file=sys.stderr)
-        return 2
+        raise FloatingPointError("non-finite values in trial records")
     if cfg.output_path:
-        report.write_csv(cfg.output_path)
+        with open(cfg.output_path, "w") as fh:
+            fh.write(report.csv_body())
     else:
         sys.stdout.write(report.csv_body())
     print(json.dumps(report.summary(), sort_keys=True))

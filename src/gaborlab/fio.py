@@ -75,10 +75,12 @@ def apply_chirp(f: FiniteSignal, m) -> FiniteSignal:
 def quadratic_phase_table(qp: QuadraticPhase, n: int) -> PhaseTable:
     """Phase table psi(w) = c0 + q.w/n + w.Mw/(2n) of rank qp.rank, reduced mod 1."""
     qp.check_well_defined(n)
-    coords = np.indices((n,) * qp.rank).reshape(qp.rank, -1).astype(np.float64)
-    lin = qp.q.astype(np.float64) @ coords
-    quad = np.einsum("it,ij,jt->t", coords, qp.m.astype(np.float64), coords)
-    vals = (qp.c0 + lin / n + quad / (2 * n)) % 1.0
+    # psi - c0 = (2 q.w + w.Mw) / (2n).  Reducing q mod n and M mod 2n moves it by
+    # an integer, so the numerator is taken exactly in int64 (it stays below
+    # 2 rank n^2 (rank n + 1)) and divided once, after its own reduction mod 2n.
+    w = np.indices((n,) * qp.rank).reshape(qp.rank, -1)
+    num = 2 * (qp.q % n) @ w + np.einsum("it,ij,jt->t", w, qp.m % (2 * n), w)
+    vals = (qp.c0 + (num % (2 * n)) / (2 * n)) % 1.0
     return PhaseTable(n, qp.rank, vals.reshape((n,) * qp.rank))
 
 

@@ -1,13 +1,14 @@
 """Experiment harness: per-theorem ratio experiments, sharpness blow-up
 experiments and CSV/JSON reporting.
 
-Each registered theorem id fixes the object whose mixed modulation norm
-is taken (kernel, symbol-times-phase product, or bare symbol), its phase,
-a permutation-class requirement and an exponent pattern; the rank and the
-phase fix the operator form.  A SHARP id raises exponent slots of its base
-theorem on the closed-form object b1 (x) 1.  Every id runs one trial loop,
-which draws a seeded ensemble, builds the operator and the tensor factors
-of the object, and records
+Each registered theorem id fixes its phase, a permutation-class
+requirement and an exponent pattern.  The rank and the phase fix the
+operator form and the object whose mixed modulation norm is taken: the
+symbol-times-phase product under a random phase, else the bare symbol
+(the kernel, when there is no phase).  A SHARP id raises exponent slots
+of its base theorem on the closed-form object b1 (x) 1.  Every id runs
+one trial loop, which draws a seeded ensemble, builds the operator and
+the tensor factors of the object, and records
 
     ratio = schatten_norm(A, p) / mixed_modulation_norm(object).
 
@@ -90,7 +91,6 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    norm_object: str       # "kernel" | "product" | "bare"
     phase: str             # "none" | "random" | "quadratic-zero-mixed" | "quadratic"
     family: str            # key of FAMILIES
     exps: callable         # p -> tuple
@@ -99,34 +99,27 @@ class TheoremSpec:
 
 # T4.3a and T4.4a state the same easy-form bound.
 _EASY_ZERO_MIXED = TheoremSpec(
-    "bare", "quadratic-zero-mixed", "slice",
-    lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4))
+    "quadratic-zero-mixed", "slice", lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4))
 
 THEOREMS = {
-    "T2.9": TheoremSpec(
-        "kernel", "none", "slice",
-        lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
-    "T3.1": TheoremSpec(
-        "product", "random", "slice",
-        lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
+    "T2.9": TheoremSpec("none", "slice", lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
+    "T3.1": TheoremSpec("random", "slice", lambda p: (2.0, 2.0, p, p), (1, 3, 2, 4)),
     "T3.2": TheoremSpec(
-        "product", "random", "FIO slice",
+        "random", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
     "T4.2a": TheoremSpec(  # pointwise-product bound; trial body in _run_trials
-        "kernel", "none", "two-axis", lambda p: (2.0, p), (1, 2)),
+        "none", "two-axis", lambda p: (2.0, p), (1, 2)),
     "T4.3a": _EASY_ZERO_MIXED,
     "T4.3b": TheoremSpec(
-        "bare", "quadratic-zero-mixed", "FIO slice",
+        "quadratic-zero-mixed", "FIO slice",
         lambda p: (2.0, 2.0, p, p, 1.0, INF), (2, 5, 1, 4, 3, 6)),
     "T4.4a": _EASY_ZERO_MIXED,
     "T4.4b": TheoremSpec(
-        "bare", "quadratic-zero-mixed", "FIO symbol",
+        "quadratic-zero-mixed", "FIO symbol",
         lambda p: (INF, 2.0, 2.0, p, p, 1.0), (6, 1, 4, 2, 5, 3)),
-    "T4.5a": TheoremSpec(
-        "bare", "quadratic", "relaxed easy",
-        lambda p: (2.0, p, p, p), (4, 1, 2, 3)),
+    "T4.5a": TheoremSpec("quadratic", "relaxed easy", lambda p: (2.0, p, p, p), (4, 1, 2, 3)),
     "T4.5b": TheoremSpec(
-        "bare", "quadratic", "relaxed hard",
+        "quadratic", "relaxed hard",
         lambda p: (INF, 2.0, p, p, p, 1.0), (6, 5, 1, 2, 4, 3)),
 }
 
@@ -275,14 +268,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    theorem: str
+    """The values of one draw; the theorem, p and seed are the report's."""
+
     n: int
     trial: int
-    p: float
     schatten: float
     mixed_norm: float
     ratio: float
-    seed: int
     metadata: dict = field(default_factory=dict)
 
 
@@ -313,14 +305,10 @@ class Report:
         lines = [CSV_HEADER]
         for r in self.records:
             lines.append(
-                f"{r.theorem},{r.n},{r.trial},{r.p!r},{r.schatten!r},"
-                f"{r.mixed_norm!r},{r.ratio!r},{r.seed}"
+                f"{self.theorem},{r.n},{r.trial},{self.cfg.p!r},{r.schatten!r},"
+                f"{r.mixed_norm!r},{r.ratio!r},{self.cfg.seed}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_body())
 
     def summary(self) -> dict:
         cfg = self.cfg
@@ -380,9 +368,7 @@ def gen_ensemble(kind: str, n: int, seed, rank: int = 3, zero_mixed: bool = Fals
         m = m + m.T  # symmetric with even diagonal, well-defined for every n
         if zero_mixed:
             m[0, 1] = m[1, 0] = 0
-        qp = QuadraticPhase(float(rng.integers(0, 4)) / 4.0, q, m)
-        qp.check_well_defined(n)
-        return qp
+        return QuadraticPhase(float(rng.integers(0, 4)) / 4.0, q, m)
     if kind == "random-phase":
         return PhaseTable(n, rank, rng.random((n,) * rank))
     raise ConfigError(f"unknown ensemble kind {kind!r}")
@@ -426,18 +412,16 @@ def _build_trial(cfg: ExperimentConfig, norms: list, n: int, rng) -> tuple:
 
     spec = THEOREMS[cfg.theorem_id]
     sym = gen_ensemble("gaussian-symbol", n, rng, rank=rank)
-    meta = {}
+    meta = {"phase": spec.phase}
     if spec.phase == "none":
         return OperatorMatrix(sym.values), [sym.values], meta
 
     if spec.phase == "random":
         phase = gen_ensemble("random-phase", n, rng, rank=rank)
-        meta["phase"] = "random"
     else:
         qp = gen_ensemble("quadratic-phase", n, rng, rank=rank,
                           zero_mixed=(spec.phase == "quadratic-zero-mixed"))
         phase = quadratic_phase_table(qp, n)
-        meta["phase"] = spec.phase
         if rank == 2:
             meta["det_mixed_block"] = float(qp.m[0, 1])
         else:
@@ -445,7 +429,7 @@ def _build_trial(cfg: ExperimentConfig, norms: list, n: int, rng) -> tuple:
             meta["det_nondegeneracy_block"] = float(np.linalg.det(block))
 
     prod = oscillatory(sym, phase)
-    obj = sym.values if spec.norm_object == "bare" else prod
+    obj = prod if spec.phase == "random" else sym.values
     return fio_operator(prod), [obj], meta
 
 
@@ -504,8 +488,7 @@ def _run_trials(cfg: ExperimentConfig) -> Report:
                 s = schatten_norm(op, cfg.p)
             m = tensor_mixed_norm(factors, window, norms)
             ratio = 0.0 if s == 0.0 else s / m
-            report.records.append(
-                TrialRecord(report.theorem, n, t, cfg.p, s, m, ratio, cfg.seed, meta))
+            report.records.append(TrialRecord(n, t, s, m, ratio, meta))
     return report
 
 

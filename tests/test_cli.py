@@ -186,6 +186,17 @@ def test_non_finite_result_exits_two(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_non_finite_trial_records_exit_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("gaborlab.lab.schatten_norm", lambda op, p: math.nan)
+    out = tmp_path / "x.csv"
+    code = run_cli(["verify", "--theorem", "T2.9", "--n", "4", "--trials", "1",
+                    "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: non-finite values in trial records\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_schatten_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     m = rng.standard_normal((6, 6))

@@ -1,5 +1,7 @@
 """Oscillatory operators: assembly oracles, chirp covariance, slicing."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,30 @@ class TestQuadraticPhase:
             wv = np.array(w, dtype=float)
             want = (0.25 + qp.q @ wv / n + wv @ qp.m @ wv / (2 * n)) % 1.0
             assert np.isclose(table[w] % 1.0, want % 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 9, 10, 21, 255])
+    def test_chirp_depends_on_m_mod_2n_bit_for_bit(self, n):
+        f = random_signal(n, 2, np.random.default_rng(n))
+        m = np.array([[2 * n - 2, 2 * n - 1], [2 * n - 1, 4]])
+        for i in range(2):
+            shifted = m.copy()
+            shifted[i, i] += 2 * n
+            assert np.array_equal(apply_chirp(f, m).values, apply_chirp(f, shifted).values)
+
+    @pytest.mark.parametrize("rank,n", [(1, 255), (1, 511), (2, 15), (2, 33), (3, 7)])
+    def test_table_matches_exact_rationals(self, rank, n):
+        # Entries of M up to 2n, the diagonal even so that every n is allowed.
+        rng = np.random.default_rng([rank, n])
+        upper = np.triu(rng.integers(0, 2 * n + 1, size=(rank, rank)), 1)
+        m = upper + upper.T + np.diag(2 * rng.integers(0, n + 1, size=rank))
+        qp = QuadraticPhase(0.25, rng.integers(-n, n + 1, size=rank), m)
+        table = quadratic_phase_table(qp, n).values
+        for w in np.ndindex(table.shape):
+            wv = np.array(w)
+            exact = (Fraction(1, 4) + Fraction(int(qp.q @ wv), n)
+                     + Fraction(int(wv @ m @ wv), 2 * n)) % 1
+            err = abs(table[w] - float(exact))
+            assert min(err, 1 - err) <= 1e-15, (w, table[w], exact)
 
     def test_modulation_absorption(self):
         """Affine phases leave the mixed modulation norm invariant."""
