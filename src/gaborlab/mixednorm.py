@@ -19,8 +19,14 @@ points t_v, so those variables are never transformed; when v would hold
 every variable, the norm is the closed form ||F|| ||g||^r, and the STFT is
 taken anyway so that this closed form still checks the transform.  The time
 shifts of the transformed variable whose time axis is contracted outermost
-are looped over: each slab is collapsed over t_v and contracted over the
-levels inside that time axis's level as soon as it is built.  A norm of
+are looped over, one slab per shift.  A slab is built in row blocks of at most
+BLOCK entries (2 MiB of complex values), and each block is contracted at once
+by the slab's first contraction, the l^2 collapse over t_v or else level 1,
+which reduces each row on its own; where level 1 lies on another axis the slab
+is one block.  Slabs smaller than a block are built several shifts at a time.
+The collapsed slab is contracted over the levels inside its time axis's level.
+One worker thread per CPU takes the shifts in turn, unless the whole transform
+is one block; every sum runs in the order of one slab built whole.  A norm of
 rank <= 2 with no such v, and any window that is not one-dimensional, takes
 the full STFT.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -131,11 +138,11 @@ def classify_permutation(c: Permutation, d: int) -> set:
             if rank * d == m and satisfies_blocks(c, conds, d)}
 
 
-def _peak_scaled_norm(a: np.ndarray, p: float):
+def _peak_scaled_norm(a: np.ndarray, p: float, out=None):
     peak = a.max(axis=-1, initial=0.0)
     safe = np.where(peak > 0, peak, 1.0)
-    scaled = a / safe[..., None]
-    scaled **= p  # in place: one temporary the size of a
+    scaled = np.divide(a, safe[..., None], out=out)
+    scaled **= p  # in place: at most one temporary the size of a
     return peak * scaled.sum(axis=-1) ** (1.0 / p)
 
 
@@ -156,7 +163,8 @@ def lp_norm(a: np.ndarray, p: float):
     redo = ~((squares > 1e-300) & (squares < INF))
     if redo.any():
         norm = np.array(norm)  # writable, also when the result is 0-d
-        norm[redo] = _peak_scaled_norm(a[redo], 2.0)
+        rows = a[redo]  # a copy, scaled in place: the retake costs no more than a * a
+        norm[redo] = _peak_scaled_norm(rows, 2.0, out=rows)
     return norm
 
 
@@ -176,9 +184,10 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
 def _contract(a: np.ndarray, axes, exps):
     """Nested l^p norms of |a|: level j contracts axis axes[j] with exps[j].
     The axes not given stay in front, in their order."""
-    # Reverse the level order so each contraction runs over the last
-    # (contiguous) axis: level j's axis sits at position -1 when its turn
-    # comes.  np.abs writes the transposed view out in that order.
+    # Reverse the level order so that level j's axis sits at position -1 when
+    # its turn comes.  np.abs keeps the memory layout of the transposed view, so
+    # that axis is contiguous only where it was in `a`; elsewhere the sums run
+    # along a strided axis, in the order that layout sets.
     rest = [i for i in range(a.ndim) if i not in axes]
     a = np.abs(np.transpose(a, axes=rest + axes[::-1]))
     for p in exps:
@@ -218,22 +227,53 @@ def _streams(rank: int, v) -> bool:
     return bool(v) or rank >= 3
 
 
+BLOCK = 2 ** 17  # entries of one row block: 2 MiB of complex values
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(n: int, r: int, c: Permutation, u, v) -> tuple:
+    """(shifts, step, workers) of the streamed loop for the plan (u, v) of a rank-r
+    norm.  A block holds the transform at `shifts` time shifts of w = u[-1] for
+    `step` of a slab's rows: at most BLOCK entries when the first contraction is
+    row-local (the l^2 collapse over t_v, or level 1 on l_w), else one whole slab.
+    Each of `workers` threads takes one group of shifts at a time."""
+    points, before = n ** len(v), n ** (2 * len(u) - 2)
+    if v or c.image[0] == r + u[-1] + 1:
+        shifts = min(n, max(1, BLOCK // (before * n * points)))
+        step = min(before, max(1, BLOCK // (n * points)))
+    else:
+        shifts, step = 1, before
+    return shifts, step, min(-(-n // shifts), _cpus())
+
+
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     """Bytes mixed_modulation_norm holds at once, with a 1-D window, for an object
-    on Z_n of rank len(c) / 2.  Per entry of the largest complex array (a slab of
-    n^(2|u| + |v| - 1) entries, held beside the array it is cut from, or the full
-    STFT's n^(2r)): 32 bytes for a slab, 16 for the STFT; 8 for the absolute values
-    the first contraction takes (the l^2 collapse over t_v, else level 1), and for
-    its exponent q none at q = 1 or inf, 16 at q = 2 (a retake of underflowed rows)
-    and 8 else.  Six doubles per entry of the next level, the n x n shifted windows
-    and 512 KiB of numpy's iterator buffers cover the rest."""
+    on Z_n of rank len(c) / 2.  Each entry of a complex array the first
+    contraction reads (the full STFT's n^(2r), or a worker's row block) takes 16
+    bytes, 8 for its absolute value and, for the exponent q of that contraction (the
+    l^2 collapse over t_v, else level 1), none at q = 1 or inf and 8 else.  The
+    streamed loop adds 16 bytes per entry of arr, which the transform before it held
+    beside an nth of that, and six doubles per first-contraction result of each
+    worker's shifts.  The n x n shifted windows and 512 KiB of numpy's iterator
+    buffers cover the rest."""
     rank = len(c) // 2
     u, v = _plan(rank, c, exps)
-    streams = _streams(rank, v)
-    entries = n ** (2 * len(u) + len(v) - streams)
     q = 2.0 if v else exps.exps[0]
-    temps = 0 if q in (1.0, INF) else 16 if q == 2.0 else 8
-    return entries * (16 * (1 + streams) + 8 + temps) + 48 * entries // n + 16 * n * n + 2 ** 19
+    per_entry = 24 + (0 if q in (1.0, INF) else 8)
+    if not _streams(rank, v):
+        entries = n ** (2 * rank)
+        return entries * per_entry + 48 * entries // n + 16 * n * n + 2 ** 19
+    points, before = n ** len(v), n ** (2 * len(u) - 2)
+    slab = before * n * points
+    shifts, step, workers = _blocks(n, rank, c, u, v)
+    worker = shifts * step * n * points * per_entry + 48 * shifts * slab // (points if v else n)
+    return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 19
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
@@ -254,27 +294,49 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     if window.dim != 1 or not _streams(r, v):
         return mixed_norm(stft(obj, window), c, exps)
 
-    # A slab fixes the time shift of w = u[-1].  It holds the axes `held`, (k, l)
-    # of each variable of u but k of w, then the points t_v flat.  Each slab is
-    # contracted over the levels inside k_w's; the rest are stacked over k_w.
+    # A slab fixes the time shift of w = u[-1]: the (before, 1, n, points) transform
+    # of arr's rows, (k, l) of each variable of u but w, at that shift.  Its axes
+    # `held` end with l_w; the points t_v follow flat.  The first contraction, the
+    # l^2 collapse over t_v or else level 1, reads m entries `after` apart.  It
+    # runs block by block; the levels inside k_w's run on each slab, and the rest
+    # on the slabs stacked over k_w.
     held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]
     axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
+    points, before = n ** len(v), n ** (2 * len(u) - 2)
+    if v:
+        m, after, first_exp = points, 1, (2.0,)
+    else:
+        m, after, first_exp = n, n ** (len(held) - 1 - held.index(axes[0])), level_exps[:1]
+        held.remove(axes[0])
+        axes, level_exps = axes[1:], level_exps[1:]
     split = axes.index(u[-1] + 1)
     stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
-    points = n ** len(v)
+    shifts, step, workers = _blocks(n, r, c, u, v)
 
     rows = shifted_window(window) * n ** -0.5
     arr = obj.grid.transpose(u + v)
     for i in range(len(u) - 1):
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
+    arr = arr.reshape(before, n, points)
 
-    def remainder(k):  # the slab at time shift k of w, contracted inside k_w's level
-        slab = stft_axis(arr, rows[k:k + 1], n ** (2 * len(u) - 2), points)
-        if v:
-            slab = lp_norm(np.abs(slab.reshape(-1, points)), 2.0)
-        return _contract(slab.reshape((n,) * len(held)),
-                         [held.index(a) for a in axes[:split]], level_exps[:split])
+    def remainders(k):  # the slabs at time shifts k, ..., k + shifts - 1, each contracted
+        shift, firsts = rows[k:k + shifts], []
+        for lo in range(0, before, step):
+            part = arr[lo:lo + step]
+            block = stft_axis(part, shift, len(part), points).reshape(
+                len(part) // after, len(shift), -1, m, after)
+            firsts.append(_contract(block, [3], first_exp).reshape(len(part), len(shift), -1))
+        # Each shift's slab in C order, as if built alone, so that its sums keep their order.
+        first = np.moveaxis(np.concatenate(firsts), 1, 0).reshape((len(shift),) + (n,) * len(held))
+        return [_contract(f, [held.index(a) for a in axes[:split]], level_exps[:split])
+                for f in first]
 
-    norm = _contract(np.array([remainder(k) for k in range(n)]),
-                     [stacked.index(a) for a in axes[split:]], level_exps[split:])
+    groups = range(0, n, shifts)
+    if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up
+        slabs = [s for k in groups for s in remainders(k)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+        with ThreadPoolExecutor(workers) as pool:
+            slabs = [s for ss in pool.map(remainders, groups) for s in ss]
+    norm = _contract(np.array(slabs), [stacked.index(a) for a in axes[split:]], level_exps[split:])
     return float(norm) * window.norm() ** len(v)

@@ -352,23 +352,27 @@ class TestMemoryGuard:
     def test_oversized_n_refused_before_any_trial(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(lab, "_available_bytes", lambda: 7 * 2 ** 30)
         monkeypatch.setattr(lab, "_build_trial", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
         out = tmp_path / "rows.csv"
         code = run_cli(["verify", "--theorem", "T4.4b", "--n", "8,512", "--trials", "1",
                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
-        # T4.4b's streamed rule holds two n^5 complex arrays and their absolute values.
-        need = 40 * 512 ** 5 + 48 * 512 ** 4 + 16 * 512 ** 2 + 2 ** 19
+        # T4.4b's streamed rule holds one n^5 complex array; each of two workers
+        # holds a 2^17-entry block, its absolute values and n^4 level-1 maxima.
+        need = 16 * 512 ** 5 + 2 * (24 * 2 ** 17 + 48 * 512 ** 4) + 16 * 512 ** 2 + 2 ** 19
         assert "n = 512" in err and str(need) in err
         assert not out.exists()
 
     def test_sharpness_factors_are_planned(self, monkeypatch):
         # SHARP-T4.3's b1 factor keeps one untransformed variable and streams
-        # the other: slabs of n^2 entries, 56 bytes each under an l^2 collapse.
-        need = 56 * 64 ** 2 + 48 * 64 + 16 * 64 ** 2 + 2 ** 19
+        # the other: slabs of n^2 entries, 32 shifts to a 2^17-entry block on
+        # each of two workers, 32 bytes an entry under an l^2 collapse.
+        monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
+        need = 16 * 64 ** 2 + 2 * (32 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 19
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
-        cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 66), trials=1)
-        with pytest.raises(ConfigError, match="n = 66"):
+        cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 128), trials=1)
+        with pytest.raises(ConfigError, match="n = 128"):
             sharpness_experiment(cfg)
 
     def test_t32_at_n64_fits_two_gib(self, monkeypatch):

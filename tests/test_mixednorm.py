@@ -374,17 +374,23 @@ class TestNormPlanner:
                                         ExponentVector(tuple(exps)))[1])
             self._check(case, window, kind, scale, seed)
 
-    # Bytes per entry of the largest array where they are not 40: a full-STFT
-    # entry takes 16, 8 for its absolute value and 16 for temporaries at q = 2;
-    # a streamed entry takes 32 (the slab and its source) + 8 + temporaries,
-    # which are none at q = inf and 8 at another q != 1.
-    _PER_ENTRY = {((1, 2), (INF, 1)): 24, ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2)): 32,
-                  ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): 56,
-                  ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): 56,
-                  ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): 56,
-                  ((2, 5, 1, 4, 6, 3), (2,) * 6): 56,
-                  ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): 56,
-                  ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): 48}
+    # Bytes per entry of the array the first contraction reads are 32 (16, 8 for
+    # its absolute value and 8 of temporaries), but 24 where that contraction is
+    # a plain max or sum.
+    _NO_TEMPS = {((1, 2), (INF, 1)), ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),
+                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1))}
+    # (block, first-contraction results, workers) of each streamed plan at n = 12
+    # on two CPUs.  A block of one shift holds 10,922 rows of 12 entries; a slab
+    # smaller than a block shares it with other shifts, and level 1 on a k axis
+    # reads the slab whole.
+    _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (6 * 12 ** 4, 6 * 12 ** 3, 2),
+                 ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 4, 12 ** 2, 1),
+                 ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
+                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
+                 ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12 ** 3, 12 ** 2, 1),
+                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 5, 12 ** 4, 2),
+                 ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 4, 12 ** 2, 1),
+                 ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2)}
 
     @pytest.mark.parametrize("image,exps,rule,power", [
         ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1]), 4),     # T3.2
@@ -403,13 +409,18 @@ class TestNormPlanner:
         ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2), ([0, 1], []), 4),                  # innermost 1.5
         ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1), ([0, 1, 2], []), 5),   # streamed, 1.5
     ])
-    def test_plan_of_each_theorem(self, image, exps, rule, power):
+    def test_plan_of_each_theorem(self, monkeypatch, image, exps, rule, power):
+        monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
         c, e = Permutation(image), ExponentVector(exps)
         rank = len(image) // 2
         assert _plan(rank, c, e) == rule
-        per_entry = self._PER_ENTRY.get((image, exps), 40)
-        want = per_entry * 12 ** power + 48 * 12 ** (power - 1) + 16 * 12 ** 2 + 2 ** 19
-        assert planned_bytes(12, c, e) == want
+        per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
+        if (image, exps) in self._STREAMED:  # arr, then each worker's block and results
+            block, firsts, workers = self._STREAMED[image, exps]
+            want = 16 * 12 ** power + workers * (per_entry * block + 48 * firsts)
+        else:  # the full STFT
+            want = per_entry * 12 ** power + 48 * 12 ** (power - 1)
+        assert planned_bytes(12, c, e) == want + 16 * 12 ** 2 + 2 ** 19
 
     @pytest.mark.parametrize("n,image,exps", [
         (24, (1, 3, 2, 4), (1, 2, 1.5, 1.5)),                # full STFT, innermost 1
@@ -421,6 +432,8 @@ class TestNormPlanner:
         (16, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # streamed, T4.4b
         (16, (6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)),  # streamed, innermost 1.5
         (16, (1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),  # streamed, l outermost
+        (12, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # streamed, T4.4b, ragged
+        (32, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # streamed, T3.2, row blocks
     ])
     def test_planned_bytes_bound_the_working_set(self, n, image, exps):
         # The plan holds the traced peak of the norm and at most half again.
@@ -438,6 +451,29 @@ class TestNormPlanner:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= planned_bytes(n, c, e) <= 1.5 * peak, (peak, planned_bytes(n, c, e))
+
+    @pytest.mark.parametrize("n", [9, 12, 20])
+    @pytest.mark.parametrize("image,exps", [
+        ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),    # T3.2
+        ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),    # T4.4b
+        ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)),  # T4.5b
+        ((1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),    # l outermost: whole slabs
+    ])
+    def test_workers_keep_every_bit(self, monkeypatch, n, image, exps):
+        # At these n most plans end on a ragged row block or group of shifts (at
+        # n = 12, T4.4b's 20,736 rows go in blocks of 10,922).  One worker and
+        # three give the same bits, and the full STFT agrees where it fits in memory.
+        c, e = Permutation(image), ExponentVector(exps)
+        rng = np.random.default_rng(n)
+        f, g = random_signal(n, 3, rng), random_signal(n, 1, rng)
+        norms = []
+        for cpus in (1, 3):
+            monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
+            norms.append(mixed_modulation_norm(f, g, c, e))
+        assert norms[0] == norms[1]
+        if n <= 12:  # at n = 20 the full STFT alone takes 1 GiB
+            want = mixed_norm(stft(f, tensor_window(g, 3)), c, e)
+            assert abs(norms[0] - want) <= 1e-12 * want, (norms[0], want)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_all_2_norm_still_takes_the_transform(self, rank):
