@@ -9,6 +9,7 @@ a fold of the time axis with period n/b, one length-n/b FFT.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ class GaborSystem:
     def __post_init__(self):
         if self.window.dim != 1:
             raise ValueError("Gabor systems are built from d = 1 windows")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.window.n
         if self.a < 1 or self.b < 1 or n % self.a or n % self.b:
             raise ValueError("a and b must be positive divisors of n")

@@ -12,23 +12,24 @@ lifts a pair to any d: axis or level s stands for the block
 (s - 1) d + 1, ..., s d.  A permutation of length rank * d belongs to a
 class when every lifted pair holds.
 
-mixed_modulation_norm transforms only the variables its norm needs.  By
-Moyal's identity, an l^2 sum over both axes (k_j, l_j) of a set v of
-variables equals ||g||^|v| times the l^2 norm over their untransformed
-points t_v, so those variables are never transformed; when v would hold
-every variable, the norm is the closed form ||F|| ||g||^r, and the STFT is
-taken anyway so that this closed form still checks the transform.  The time
-shifts of the transformed variable whose time axis is contracted outermost
-are looped over, one slab per shift.  A slab is built in row blocks of at most
-BLOCK entries (2 MiB of complex values), and each block is contracted at once
+mixed_modulation_norm takes a one-dimensional window g, standing for its
+tensor power, and transforms only the variables its norm needs; _plan decides
+how, and planned_bytes prices that plan.  By Moyal's identity, an l^2 sum over
+both axes (k_j, l_j) of a set v of variables equals ||g||^|v| times the l^2
+norm over their untransformed points t_v, so those variables are never
+transformed; when v would hold every variable, the norm is the closed form
+||F|| ||g||^r, and the STFT is taken anyway so that this closed form still
+checks the transform.  The time shifts of the transformed variable whose time
+axis is contracted outermost are looped over, one slab per shift.  A slab is
+built in row blocks of at most BLOCK entries (2 MiB of complex values), several
+shifts to a block where slabs are smaller, and each block is contracted at once
 by the slab's first contraction, the l^2 collapse over t_v or else level 1,
-which reduces each row on its own; where level 1 lies on another axis the slab
-is one block.  Slabs smaller than a block are built several shifts at a time.
-The collapsed slab is contracted over the levels inside its time axis's level.
-One worker thread per CPU takes the shifts in turn, unless the whole transform
-is one block; every sum runs in the order of one slab built whole.  A norm of
-rank <= 2 with no such v, and any window that is not one-dimensional, takes
-the full STFT.
+when that reduces each row on its own; otherwise the slab is one block.  The
+collapsed slab is contracted over the levels inside its time axis's level.  One
+worker thread per CPU takes the shifts in turn, unless the whole transform is
+one block; every sum runs in the order of one slab built whole.  A norm of rank
+<= 2 with no such v takes the full STFT, planned as one block of every shift.
+An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
 from __future__ import annotations
@@ -203,30 +204,6 @@ def tensor_window(window: FiniteSignal, rank: int) -> FiniteSignal:
     return FiniteSignal(window.n, rank, grid.ravel())
 
 
-def _plan(rank: int, c: Permutation, exps: ExponentVector) -> tuple:
-    """(u, v) for a rank-r norm; variables are numbered from 0.
-
-    v is the largest set of variables whose time and frequency axes fill
-    the innermost 2|v| levels, every one with exponent 2, or empty when that
-    set holds every variable; u holds the other variables, in the order of
-    the levels of their time axes."""
-    v, seen = [], set()
-    for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
-        if p != 2.0:
-            break
-        seen.add((axis - 1) % rank)
-        if level == 2 * len(seen):  # these levels hold both axes of each variable seen
-            v = sorted(seen)
-    if len(v) == rank:
-        v = []
-    return [axis - 1 for axis in c.image if axis <= rank and axis - 1 not in v], v
-
-
-def _streams(rank: int, v) -> bool:
-    """Whether a 1-D window's norm streams u[-1]'s time shifts, not the full STFT."""
-    return bool(v) or rank >= 3
-
-
 BLOCK = 2 ** 17  # entries of one row block: 2 MiB of complex values
 
 
@@ -237,50 +214,81 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(n: int, r: int, c: Permutation, u, v) -> tuple:
-    """(shifts, step, workers) of the streamed loop for the plan (u, v) of a rank-r
-    norm.  A block holds the transform at `shifts` time shifts of w = u[-1] for
-    `step` of a slab's rows: at most BLOCK entries when the first contraction is
-    row-local (the l^2 collapse over t_v, or level 1 on l_w), else one whole slab.
-    Each of `workers` threads takes one group of shifts at a time."""
+def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
+    """(full, u, v, first, blocks, levels): how mixed_modulation_norm takes a norm
+    of rank r = len(c) / 2 on Z_n; variables are numbered from 0.
+
+    v is the largest set of variables whose time and frequency axes fill the
+    innermost 2|v| levels, all with exponent 2, or empty when that set holds every
+    variable; u holds the others, in the order of the levels of their time axes.
+    A slab is the (before, 1, n, points) transform at one time shift of w = u[-1]:
+    (k, l) of each variable of u but w, then l_w, then t_v.  Its first contraction
+    (m, after, q), the l^2 collapse over t_v or else level 1, reads m entries
+    `after` apart with exponent q, row-local exactly when after is 1.  A block
+    holds `shifts` time shifts for `step` of a slab's rows, at most BLOCK entries
+    when row-local, else one slab; `workers` threads take the groups of shifts.
+    levels = (width, inner, outer): inner contracts the `width` axes of a collapsed
+    slab over the levels inside k_w's, outer the slabs stacked over k_w.  A full
+    plan (rank <= 2, v empty) takes the full STFT as one block of every shift, its
+    first contraction on the STFT's axis c(1), and has no levels."""
+    r = len(c) // 2
+    v, seen = [], set()
+    for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
+        if p != 2.0:
+            break
+        seen.add((axis - 1) % r)
+        if level == 2 * len(seen):  # these levels hold both axes of each variable seen
+            v = sorted(seen)
+    if len(v) == r:
+        v = []
+    u = [axis - 1 for axis in c.image if axis <= r and axis - 1 not in v]
     points, before = n ** len(v), n ** (2 * len(u) - 2)
-    if v or c.image[0] == r + u[-1] + 1:
+    if not v and r <= 2:
+        return True, u, v, (n, n ** (2 * r - c.image[0]), exps.exps[0]), (n, before, 1), None
+    held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]  # ends with l_w
+    axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
+    if v:
+        first = points, 1, 2.0
+    else:
+        first = n, n ** (len(held) - 1 - held.index(axes[0])), level_exps[0]
+        held.remove(axes[0])
+        axes, level_exps = axes[1:], level_exps[1:]
+    if first[1] == 1:
         shifts = min(n, max(1, BLOCK // (before * n * points)))
         step = min(before, max(1, BLOCK // (n * points)))
     else:
         shifts, step = 1, before
-    return shifts, step, min(-(-n // shifts), _cpus())
+    split = axes.index(u[-1] + 1)
+    stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
+    return False, u, v, first, (shifts, step, min(-(-n // shifts), _cpus())), (
+        len(held), ([held.index(a) for a in axes[:split]], level_exps[:split]),
+        ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
 
 
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
-    """Bytes mixed_modulation_norm holds at once, with a 1-D window, for an object
-    on Z_n of rank len(c) / 2.  Each entry of a complex array the first
-    contraction reads (the full STFT's n^(2r), or a worker's row block) takes 16
-    bytes, 8 for its absolute value and, for the exponent q of that contraction (the
-    l^2 collapse over t_v, else level 1), none at q = 1 or inf and 8 else.  The
-    streamed loop adds 16 bytes per entry of arr, which the transform before it held
-    beside an nth of that, and six doubles per first-contraction result of each
-    worker's shifts.  The n x n shifted windows and 512 KiB of numpy's iterator
-    buffers cover the rest."""
-    rank = len(c) // 2
-    u, v = _plan(rank, c, exps)
-    q = 2.0 if v else exps.exps[0]
-    per_entry = 24 + (0 if q in (1.0, INF) else 8)
-    if not _streams(rank, v):
-        entries = n ** (2 * rank)
-        return entries * per_entry + 48 * entries // n + 16 * n * n + 2 ** 19
-    points, before = n ** len(v), n ** (2 * len(u) - 2)
-    slab = before * n * points
-    shifts, step, workers = _blocks(n, rank, c, u, v)
-    worker = shifts * step * n * points * per_entry + 48 * shifts * slab // (points if v else n)
+    """Bytes mixed_modulation_norm holds at once for an object on Z_n of rank
+    len(c) / 2, read from its plan.  The loop holds arr, the n^(2|u|-1) * n^|v|
+    entries at 16 bytes each that a slab is cut from, which the transform before it
+    held beside an nth of that.  Each worker's block takes 16 bytes an entry, 8 for
+    its absolute value and, for the first contraction's exponent q, none at q = 1 or
+    inf and 8 else, plus six doubles per first-contraction result of its shifts.
+    The full STFT is its one block of every shift, and arr the array its last
+    transform step reads.  The n x n shifted windows and 512 KiB of numpy's
+    iterator buffers cover the rest."""
+    _, u, v, (m, _, q), (shifts, step, workers), _ = _plan(n, c, exps)
+    points = n ** len(v)
+    slab = n ** (2 * len(u) - 1) * points
+    worker = shifts * step * n * points * (24 if q in (1.0, INF) else 32) + 48 * shifts * slab // m
     return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 19
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
                           exps: ExponentVector) -> float:
-    """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array,
-    against the tensor-power window, or against `window` itself when it is
-    r-dimensional; a 1-D window takes only the transforms _plan keeps."""
+    """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array, against
+    the tensor power of the one-dimensional `window`, taken as _plan says."""
+    if window.dim != 1:
+        raise ValueError(f"the window is {window.dim}-dimensional; the norm takes a 1-D window g "
+                         "and its tensor power, and mixed_norm(stft(F, G), c, exps) takes any G")
     if not isinstance(obj, FiniteSignal):
         if np.shape(obj) != (window.n,) * np.ndim(obj):
             raise ValueError(f"array of shape {np.shape(obj)} is not (n,)*r, n = {window.n}")
@@ -290,28 +298,11 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     n, r = obj.n, obj.dim
     if len(c) != 2 * r or len(exps) != 2 * r:
         raise ValueError(f"permutation and exponents must have length {2 * r}")
-    u, v = _plan(r, c, exps)
-    if window.dim != 1 or not _streams(r, v):
+    full, u, v, (m, after, q), (shifts, step, workers), levels = _plan(n, c, exps)
+    if full:
         return mixed_norm(stft(obj, window), c, exps)
-
-    # A slab fixes the time shift of w = u[-1]: the (before, 1, n, points) transform
-    # of arr's rows, (k, l) of each variable of u but w, at that shift.  Its axes
-    # `held` end with l_w; the points t_v follow flat.  The first contraction, the
-    # l^2 collapse over t_v or else level 1, reads m entries `after` apart.  It
-    # runs block by block; the levels inside k_w's run on each slab, and the rest
-    # on the slabs stacked over k_w.
-    held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]
-    axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
+    width, inner, outer = levels
     points, before = n ** len(v), n ** (2 * len(u) - 2)
-    if v:
-        m, after, first_exp = points, 1, (2.0,)
-    else:
-        m, after, first_exp = n, n ** (len(held) - 1 - held.index(axes[0])), level_exps[:1]
-        held.remove(axes[0])
-        axes, level_exps = axes[1:], level_exps[1:]
-    split = axes.index(u[-1] + 1)
-    stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
-    shifts, step, workers = _blocks(n, r, c, u, v)
 
     rows = shifted_window(window) * n ** -0.5
     arr = obj.grid.transpose(u + v)
@@ -325,11 +316,10 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
             part = arr[lo:lo + step]
             block = stft_axis(part, shift, len(part), points).reshape(
                 len(part) // after, len(shift), -1, m, after)
-            firsts.append(_contract(block, [3], first_exp).reshape(len(part), len(shift), -1))
+            firsts.append(_contract(block, [3], (q,)).reshape(len(part), len(shift), -1))
         # Each shift's slab in C order, as if built alone, so that its sums keep their order.
-        first = np.moveaxis(np.concatenate(firsts), 1, 0).reshape((len(shift),) + (n,) * len(held))
-        return [_contract(f, [held.index(a) for a in axes[:split]], level_exps[:split])
-                for f in first]
+        first = np.moveaxis(np.concatenate(firsts), 1, 0).reshape((len(shift),) + (n,) * width)
+        return [_contract(f, *inner) for f in first]
 
     groups = range(0, n, shifts)
     if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up
@@ -338,5 +328,4 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
         from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
         with ThreadPoolExecutor(workers) as pool:
             slabs = [s for ss in pool.map(remainders, groups) for s in ss]
-    norm = _contract(np.array(slabs), [stacked.index(a) for a in axes[split:]], level_exps[split:])
-    return float(norm) * window.norm() ** len(v)
+    return float(_contract(np.array(slabs), *outer)) * window.norm() ** len(v)

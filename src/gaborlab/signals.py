@@ -20,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class FiniteSignal:
     values: np.ndarray
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("dim", self.dim)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.dim < 1:
             raise ValueError("group size and dimension must be positive")
         vals = np.asarray(self.values, dtype=np.complex128).ravel()

@@ -67,6 +67,16 @@ class TestFrameBounds:
         with pytest.raises(ValueError):
             GaborSystem(periodized_gaussian(8), 3, 2)
 
+    @pytest.mark.parametrize("a,b,field", [(2.0, 2, "a"), (2, 2.0, "b"), (True, 2, "a"),
+                                           (2, True, "b")])
+    def test_lattice_steps_must_be_integers(self, a, b, field):
+        # A float step used to construct and fail later inside frame_bounds.
+        g = periodized_gaussian(8)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GaborSystem(g, a, b)
+        assert (frame_bounds(GaborSystem(g, np.int64(2), np.int64(2)))
+                == frame_bounds(GaborSystem(g, 2, 2)))
+
 
 class TestDualAndTight:
     @pytest.mark.parametrize("seed", range(20))

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gaborlab.lab import (
 from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
 from gaborlab.operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
 from gaborlab.schatten import schatten_norm
+from gaborlab.signals import random_signal
 
 
 def _slice(image):
@@ -400,6 +402,30 @@ class TestMemoryGuard:
         cfg = ExperimentConfig(theorem, (8,), trials=1, control_arm=control)
         (sharpness_experiment if theorem in SHARPNESS_IDS else ratio_experiment)(cfg)
         assert taken and planned == taken
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("theorem,control", _ARMS,
+                             ids=[t + "-control" * c for t, c in _ARMS])
+    def test_every_planned_norm_fits_its_plan(self, theorem, control, p):
+        # Each factor norm the guard plans, on a random object of its rank at
+        # n = 8, peaks at no more than planned_bytes.  Only this side is checked:
+        # at n = 8 the plan's constants outweigh the arrays.
+        n = 8
+        cfg = ExperimentConfig(theorem, (n,), p=p, trials=1, control_arm=control)
+        window = make_window(cfg.window_kind, n, cfg.seed)
+        for c, e in lab._factor_norms(cfg):
+            obj = random_signal(n, len(c) // 2, np.random.default_rng(n))
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                mixed_modulation_norm(obj, window, c, e)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak <= lab.planned_bytes(n, c, e), (c, e, peak)
 
     def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(lab, "_available_bytes", lambda: None)

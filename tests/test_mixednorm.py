@@ -8,6 +8,7 @@ set-based implementation.
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -20,7 +21,6 @@ from gaborlab.mixednorm import (
     ExponentVector,
     Permutation,
     _plan,
-    _streams,
     classify_permutation,
     lp_norm,
     mixed_modulation_norm,
@@ -357,9 +357,9 @@ class TestNormPlanner:
         for seed in range(4):
             rng = np.random.default_rng([seed, len(kind), len(window)])
             case = _moyal_case(rng)
-            rank, _, image, exps = case
-            assert _plan(rank, Permutation(tuple(int(a) for a in image)),
-                         ExponentVector(tuple(exps)))[1]
+            _, n, image, exps = case
+            assert _plan(n, Permutation(tuple(int(a) for a in image)),
+                         ExponentVector(tuple(exps)))[2]
             self._check(case, window, kind, scale, seed)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
@@ -369,9 +369,9 @@ class TestNormPlanner:
         for seed in range(2):
             rng = np.random.default_rng([seed, len(kind), len(window), 3])
             case = _slab_case(rng)
-            rank, _, image, exps = case
-            assert _streams(rank, _plan(rank, Permutation(tuple(int(a) for a in image)),
-                                        ExponentVector(tuple(exps)))[1])
+            _, n, image, exps = case
+            assert not _plan(n, Permutation(tuple(int(a) for a in image)),
+                             ExponentVector(tuple(exps)))[0]
             self._check(case, window, kind, scale, seed)
 
     # Bytes per entry of the array the first contraction reads are 32 (16, 8 for
@@ -412,14 +412,14 @@ class TestNormPlanner:
     def test_plan_of_each_theorem(self, monkeypatch, image, exps, rule, power):
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
         c, e = Permutation(image), ExponentVector(exps)
-        rank = len(image) // 2
-        assert _plan(rank, c, e) == rule
+        full, u, v = _plan(12, c, e)[:3]
+        assert (u, v) == rule and full == ((image, exps) not in self._STREAMED)
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
         if (image, exps) in self._STREAMED:  # arr, then each worker's block and results
             block, firsts, workers = self._STREAMED[image, exps]
             want = 16 * 12 ** power + workers * (per_entry * block + 48 * firsts)
-        else:  # the full STFT
-            want = per_entry * 12 ** power + 48 * 12 ** (power - 1)
+        else:  # the full STFT: the one block of every shift, and the array it is cut from
+            want = per_entry * 12 ** power + 64 * 12 ** (power - 1)
         assert planned_bytes(12, c, e) == want + 16 * 12 ** 2 + 2 ** 19
 
     @pytest.mark.parametrize("n,image,exps", [
@@ -484,7 +484,7 @@ class TestNormPlanner:
         f = random_signal(n, rank, rng)
         g = random_signal(n, 1, rng)
         c, e = Permutation.identity(2 * rank), ExponentVector((2.0,) * (2 * rank))
-        assert _plan(rank, c, e)[1] == []
+        assert _plan(n, c, e)[2] == []
         want = f.norm() * g.norm() ** rank
         assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
 
@@ -495,16 +495,18 @@ class TestNormPlanner:
         (3, 5, (6, 1, 4, 2, 3, 5), (INF, 2, 2, 1.5, 1.5, 1)),  # l outermost
     ])
     def test_tensor_window_gives_the_same_norm(self, case):
-        # An r-dimensional window takes the full STFT; its tensor-power
-        # form must give what the 1-D window gives through the planner.
+        # The norm refuses an r-dimensional window and names the composition that
+        # takes one; with the tensor power of g, that composition is the oracle
+        # of the 1-D window's norm.
         rank, n, image, exps = case
         rng = np.random.default_rng(n)
         f = random_signal(n, rank, rng)
         g = random_signal(n, 1, rng)
         c, e = Permutation(image), ExponentVector(exps)
-        want = mixed_modulation_norm(f, g, c, e)
-        got = mixed_modulation_norm(f, tensor_window(g, rank), c, e)
-        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError, match=re.escape("mixed_norm(stft(F, G), c, exps)")):
+            mixed_modulation_norm(f, tensor_window(g, rank), c, e)
+        want = mixed_norm(stft(f, tensor_window(g, rank)), c, e)
+        assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
 
     def test_full_stft_keeps_its_bits(self):
         # Without an l^2 pair or a slab the norm is mixed_norm of stft, bit for bit.

@@ -61,6 +61,14 @@ class TestFiniteSignal:
         with pytest.raises(ValueError):
             FiniteSignal(0, 1, [])
 
+    @pytest.mark.parametrize("n,dim,field", [(4.0, 1, "n"), (True, 1, "n"),
+                                             (4, 1.0, "dim"), (4, True, "dim")])
+    def test_group_size_and_dimension_must_be_integers(self, n, dim, field):
+        # A float n used to construct and fail later inside stft with a TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FiniteSignal(n, dim, [1, 2, 3, 4])
+        assert FiniteSignal(np.int64(4), np.int64(1), [1, 2, 3, 4]).n == 4
+
     def test_norm_inner(self):
         f = _rand(8, 1, 0)
         assert np.isclose(f.norm() ** 2, f.inner(f).real)
