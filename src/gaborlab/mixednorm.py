@@ -27,8 +27,10 @@ by the slab's first contraction, the l^2 collapse over t_v or else level 1,
 when that reduces each row on its own; otherwise the slab is one block.  The
 collapsed slab is contracted over the levels inside its time axis's level.  One
 worker thread per CPU takes the shifts in turn, unless the whole transform is
-one block; every sum runs in the order of one slab built whole.  A norm of rank
-<= 2 with no such v takes the full STFT, planned as one block of every shift.
+one block; every sum runs in the order of one slab built whole.  A norm with no
+such v takes the full STFT, planned as one block of every shift, at rank 1, whose
+level 1 may lie on k_w, which the loop cannot contract first, and at rank 2 when
+its n^4 entries fit in one block, where the full STFT is faster.
 An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
@@ -229,8 +231,9 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     when row-local, else one slab; `workers` threads take the groups of shifts.
     levels = (width, inner, outer): inner contracts the `width` axes of a collapsed
     slab over the levels inside k_w's, outer the slabs stacked over k_w.  A full
-    plan (rank <= 2, v empty) takes the full STFT as one block of every shift, its
-    first contraction on the STFT's axis c(1), and has no levels."""
+    plan (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries) takes
+    the full STFT as one block of every shift, its first contraction on the STFT's
+    axis c(1), and has no levels."""
     r = len(c) // 2
     v, seen = [], set()
     for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
@@ -243,7 +246,7 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
         v = []
     u = [axis - 1 for axis in c.image if axis <= r and axis - 1 not in v]
     points, before = n ** len(v), n ** (2 * len(u) - 2)
-    if not v and r <= 2:
+    if not v and (r == 1 or r == 2 and n ** 4 <= BLOCK):
         return True, u, v, (n, n ** (2 * r - c.image[0]), exps.exps[0]), (n, before, 1), None
     held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]  # ends with l_w
     axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
@@ -273,13 +276,14 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     its absolute value and, for the first contraction's exponent q, none at q = 1 or
     inf and 8 else, plus six doubles per first-contraction result of its shifts.
     The full STFT is its one block of every shift, and arr the array its last
-    transform step reads.  The n x n shifted windows and 512 KiB of numpy's
-    iterator buffers cover the rest."""
+    transform step reads.  The n x n shifted windows and 256 KiB of numpy's
+    iterator buffers, 8192 entries of each operand of a broadcast complex product,
+    cover the rest."""
     _, u, v, (m, _, q), (shifts, step, workers), _ = _plan(n, c, exps)
     points = n ** len(v)
     slab = n ** (2 * len(u) - 1) * points
     worker = shifts * step * n * points * (24 if q in (1.0, INF) else 32) + 48 * shifts * slab // m
-    return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 19
+    return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 18
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,

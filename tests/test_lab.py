@@ -23,7 +23,7 @@ from gaborlab.lab import (
     sharpness_experiment,
     tensor_mixed_norm,
 )
-from gaborlab.mixednorm import ExponentVector, Permutation, mixed_modulation_norm
+from gaborlab.mixednorm import ExponentVector, Permutation, _plan, mixed_modulation_norm
 from gaborlab.operators import OperatorMatrix, PhaseTable, QuadraticPhase, SymbolTable
 from gaborlab.schatten import schatten_norm
 from gaborlab.signals import random_signal
@@ -362,7 +362,7 @@ class TestMemoryGuard:
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
         # T4.4b's streamed rule holds one n^5 complex array; each of two workers
         # holds a 2^17-entry block, its absolute values and n^4 level-1 maxima.
-        need = 16 * 512 ** 5 + 2 * (24 * 2 ** 17 + 48 * 512 ** 4) + 16 * 512 ** 2 + 2 ** 19
+        need = 16 * 512 ** 5 + 2 * (24 * 2 ** 17 + 48 * 512 ** 4) + 16 * 512 ** 2 + 2 ** 18
         assert "n = 512" in err and str(need) in err
         assert not out.exists()
 
@@ -371,7 +371,7 @@ class TestMemoryGuard:
         # the other: slabs of n^2 entries, 32 shifts to a 2^17-entry block on
         # each of two workers, 32 bytes an entry under an l^2 collapse.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
-        need = 16 * 64 ** 2 + 2 * (32 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 19
+        need = 16 * 64 ** 2 + 2 * (32 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 18
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 128), trials=1)
         with pytest.raises(ConfigError, match="n = 128"):
@@ -465,6 +465,18 @@ class TestSharpnessExperiment:
         rep = sharpness_experiment(cfg)
         assert rep.per_n_max[8] == pytest.approx(8.0, rel=1e-10)
         assert rep.per_n_max[16] == pytest.approx(16.0, rel=1e-10)
+
+    @pytest.mark.parametrize("control", [False, True], ids=["violated", "control"])
+    @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
+    def test_closed_form_growth_through_the_streamed_plan(self, theorem, control):
+        # At p = 2 the b1 factor's all-2 norm takes the full STFT at n = 8 and
+        # streams at n = 32; the growth over the two is 32 / 8 when violated, 1 else.
+        cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 32), p=2.0, trials=1,
+                               seed=1, control_arm=control)
+        c, e = lab._factor_norms(cfg)[0]
+        assert len(c) == 4 and _plan(8, c, e)[0] and not _plan(32, c, e)[0]
+        want = 1.0 if control else 4.0
+        assert abs(sharpness_experiment(cfg).growth_factor - want) <= 1e-10 * want
 
     def test_control_arm_flat(self):
         cfg = ExperimentConfig(theorem_id="SHARP-T4.4", n_values=(8, 16),
