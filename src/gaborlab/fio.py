@@ -27,7 +27,6 @@ from .signals import FiniteSignal, shifted_window, stft_axis
 __all__ = [
     "oscillatory",
     "fio_operator",
-    "build_easy_fio",
     "build_hard_fio",
     "apply_chirp",
     "quadratic_phase_table",
@@ -51,12 +50,6 @@ def fio_operator(prod: np.ndarray) -> OperatorMatrix:
     raise ValueError(f"an FIO product has rank 2 or 3, got {prod.ndim}")
 
 
-def build_easy_fio(a: SymbolTable, phi: PhaseTable) -> OperatorMatrix:
-    if a.rank != 2:
-        raise ValueError("easy form takes rank-2 tables")
-    return fio_operator(oscillatory(a, phi))
-
-
 def build_hard_fio(b: SymbolTable, psi: PhaseTable) -> OperatorMatrix:
     if b.rank != 3:
         raise ValueError("hard form takes rank-3 tables")
@@ -78,10 +71,16 @@ def quadratic_phase_table(qp: QuadraticPhase, n: int) -> PhaseTable:
     # psi - c0 = (2 q.w + w.Mw) / (2n).  Reducing q mod n and M mod 2n moves it by
     # an integer, so the numerator is taken exactly in int64 (it stays below
     # 2 rank n^2 (rank n + 1)) and divided once, after its own reduction mod 2n.
-    w = np.indices((n,) * qp.rank).reshape(qp.rank, -1)
-    num = 2 * (qp.q % n) @ w + np.einsum("it,ij,jt->t", w, qp.m % (2 * n), w)
+    # M is symmetric, so 2 q.w + w.Mw = sum_i w_i (2 q_i + M_ii w_i + 2 sum_{j>i} M_ij w_j),
+    # summed from the last axis in over ranges broadcast along each axis.
+    r, q, m = qp.rank, qp.q % n, qp.m % (2 * n)
+    w = [np.arange(n).reshape((n,) + (1,) * (r - 1 - i)) for i in range(r)]
+    num = 0
+    for i in reversed(range(r)):
+        cross = 2 * sum(m[i, j] * w[j] for j in range(i + 1, r))
+        num = w[i] * (2 * q[i] + m[i, i] * w[i] + cross) + num
     vals = (qp.c0 + (num % (2 * n)) / (2 * n)) % 1.0
-    return PhaseTable(n, qp.rank, vals.reshape((n,) * qp.rank))
+    return PhaseTable(n, r, vals)
 
 
 def fio_slice_family(b: SymbolTable, psi: PhaseTable, sys: GaborSystem) -> tuple:

@@ -20,17 +20,19 @@ norm over their untransformed points t_v, so those variables are never
 transformed; when v would hold every variable, the norm is the closed form
 ||F|| ||g||^r, and the STFT is taken anyway so that this closed form still
 checks the transform.  The time shifts of the transformed variable whose time
-axis is contracted outermost are looped over, one slab per shift.  A slab is
-built in row blocks of at most BLOCK entries (2 MiB of complex values), several
-shifts to a block where slabs are smaller, and each block is contracted at once
-by the slab's first contraction, the l^2 collapse over t_v or else level 1,
-when that reduces each row on its own; otherwise the slab is one block.  The
-collapsed slab is contracted over the levels inside its time axis's level.  One
-worker thread per CPU takes the shifts in turn, unless the whole transform is
-one block; every sum runs in the order of one slab built whole.  A norm with no
-such v takes the full STFT, planned as one block of every shift, at rank 1, whose
-level 1 may lie on k_w, which the loop cannot contract first, and at rank 2 when
-its n^4 entries fit in one block, where the full STFT is faster.
+axis is contracted outermost are taken in groups, one slab per shift.  A group
+is built in row blocks of at most BLOCK entries (2 MiB of complex values),
+several shifts to a block where slabs are smaller, and each block is contracted
+at once by the first contraction, the l^2 collapse over t_v or else level 1,
+when that reduces each row on its own; otherwise a group is one slab, built as
+one block.  A group's collapsed slabs are contracted in one call over the levels
+inside their time axis's level, and the groups are joined for the levels outside
+it.  One worker thread per CPU takes the groups in turn, unless there is one
+group; the plan sets the groups, not the CPU count, so a norm has the same bits
+on any number of workers.  A norm with no such v takes the full STFT, planned as
+one block of every shift, at rank 1, whose level 1 may lie on k_w, which the loop
+cannot contract first, and at rank 2 when its n^4 entries fit in one block, where
+the full STFT is faster.
 An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
@@ -229,8 +231,9 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     `after` apart with exponent q, row-local exactly when after is 1.  A block
     holds `shifts` time shifts for `step` of a slab's rows, at most BLOCK entries
     when row-local, else one slab; `workers` threads take the groups of shifts.
-    levels = (width, inner, outer): inner contracts the `width` axes of a collapsed
-    slab over the levels inside k_w's, outer the slabs stacked over k_w.  A full
+    levels = (width, inner, outer): inner contracts a group's collapsed slabs, its
+    shifts on axis 0 and then `width` axes, over the levels inside k_w's; outer
+    the groups joined over k_w.  A full
     plan (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries) takes
     the full STFT as one block of every shift, its first contraction on the STFT's
     axis c(1), and has no levels."""
@@ -264,7 +267,7 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     split = axes.index(u[-1] + 1)
     stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
     return False, u, v, first, (shifts, step, min(-(-n // shifts), _cpus())), (
-        len(held), ([held.index(a) for a in axes[:split]], level_exps[:split]),
+        len(held), ([held.index(a) + 1 for a in axes[:split]], level_exps[:split]),
         ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
 
 
@@ -314,22 +317,21 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
     arr = arr.reshape(before, n, points)
 
-    def remainders(k):  # the slabs at time shifts k, ..., k + shifts - 1, each contracted
+    def remainders(k):  # the slabs at time shifts k, ..., k + shifts - 1, contracted at once
         shift, firsts = rows[k:k + shifts], []
         for lo in range(0, before, step):
             part = arr[lo:lo + step]
             block = stft_axis(part, shift, len(part), points).reshape(
                 len(part) // after, len(shift), -1, m, after)
             firsts.append(_contract(block, [3], (q,)).reshape(len(part), len(shift), -1))
-        # Each shift's slab in C order, as if built alone, so that its sums keep their order.
         first = np.moveaxis(np.concatenate(firsts), 1, 0).reshape((len(shift),) + (n,) * width)
-        return [_contract(f, *inner) for f in first]
+        return _contract(first, *inner)
 
     groups = range(0, n, shifts)
     if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up
-        slabs = [s for k in groups for s in remainders(k)]
+        slabs = [remainders(k) for k in groups]
     else:
         from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
         with ThreadPoolExecutor(workers) as pool:
-            slabs = [s for ss in pool.map(remainders, groups) for s in ss]
-    return float(_contract(np.array(slabs), *outer)) * window.norm() ** len(v)
+            slabs = list(pool.map(remainders, groups))
+    return float(_contract(np.concatenate(slabs), *outer)) * window.norm() ** len(v)

@@ -67,12 +67,6 @@ class FiniteSignal:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def inner(self, other: "FiniteSignal") -> complex:
-        """<self, other> = sum self * conj(other)."""
-        if (self.n, self.dim) != (other.n, other.dim):
-            raise ValueError("signals live on different groups")
-        return complex(np.vdot(other.values, self.values))
-
 
 def delta(n: int) -> FiniteSignal:
     """Point mass at 0 on Z_n."""

@@ -13,8 +13,8 @@ import numpy as np
 from gaborlab.cli import run_cli
 from gaborlab.fio import (
     apply_chirp,
-    build_easy_fio,
     build_hard_fio,
+    fio_operator,
     fio_slice_family,
     oscillatory,
     quadratic_phase_table,
@@ -118,7 +118,7 @@ def test_criterion_04_fio_consistency():
         a = SymbolTable(n, 2, rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)))
         phi = PhaseTable(n, 2, rng.random((n, n)))
-        built = build_easy_fio(a, phi).entries
+        built = fio_operator(oscillatory(a, phi)).entries
         ok = ok and np.max(np.abs(
             built - oscillatory(a, phi) @ dft_matrix(n))) <= 1e-12
         ok = ok and np.max(np.abs(built - easy_fio_oracle(a, phi))) <= 1e-12 * n

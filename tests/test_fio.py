@@ -7,7 +7,6 @@ import pytest
 
 from gaborlab.fio import (
     apply_chirp,
-    build_easy_fio,
     build_hard_fio,
     fio_operator,
     fio_slice_family,
@@ -67,13 +66,13 @@ class TestAssembly:
     @pytest.mark.parametrize("n", [8, 16])
     def test_easy_matches_oracle(self, n):
         a, phi = _tables(n, 2, n)
-        got = build_easy_fio(a, phi).entries
+        got = fio_operator(oscillatory(a, phi)).entries
         assert np.max(np.abs(got - easy_fio_oracle(a, phi))) <= 1e-12 * n
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_easy_factorization(self, n):
         a, phi = _tables(n, 2, n + 1)
-        lhs = build_easy_fio(a, phi).entries
+        lhs = fio_operator(oscillatory(a, phi)).entries
         rhs = oscillatory(a, phi) @ dft_matrix(n)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -90,7 +89,7 @@ class TestAssembly:
         y, xi = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         b = SymbolTable(n, 3, np.broadcast_to(a.values[:, None, :], (n, n, n)))
         psi = PhaseTable(n, 3, phi.values[:, None, :] - (y * xi / n)[None, :, :])
-        lhs = build_easy_fio(a, phi).entries
+        lhs = fio_operator(oscillatory(a, phi)).entries
         rhs = build_hard_fio(b, psi).entries
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * n
 
@@ -99,7 +98,7 @@ class TestAssembly:
         x, xi = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         a = SymbolTable(n, 2, np.ones((n, n)))
         phi = PhaseTable(n, 2, (x * xi % n) / n)
-        got = build_easy_fio(a, phi).entries
+        got = fio_operator(oscillatory(a, phi)).entries
         assert np.max(np.abs(got - np.sqrt(n) * np.eye(n))) <= 1e-12 * n
 
     def test_rank_validation(self):

@@ -528,16 +528,34 @@ class TestNormPlanner:
         # At these n most plans end on a ragged row block or group of shifts (at
         # n = 12, T4.4b's 20,736 rows go in blocks of 10,922).  One worker and
         # three give the same bits, and the full STFT agrees where it fits in memory.
+        # At n = 20 the full STFT alone takes 1 GiB.
+        self._check_workers(monkeypatch, n, image, exps, oracle=n <= 12)
+
+    @pytest.mark.parametrize("image,exps", [
+        ((1, 3, 2, 4), (2, 2, 1.5, 1.5)),  # T2.9
+        ((2, 4, 1, 3), (2, 2, 1.5, 1.5)),  # SHARP-T4.3/T4.4's b1 at p = 1.5
+    ])
+    def test_workers_keep_every_bit_at_rank_2(self, monkeypatch, image, exps):
+        # A rank-2 Moyal plan takes as many shifts to a group as fill one block:
+        # one group of all 32 shifts at n = 32, two groups of 32 at n = 64, which
+        # the workers share.
         c, e = Permutation(image), ExponentVector(exps)
+        assert _plan(32, c, e)[4][:1] == _plan(64, c, e)[4][:1] == (32,)
+        self._check_workers(monkeypatch, 32, image, exps, oracle=True)
+        self._check_workers(monkeypatch, 64, image, exps, oracle=False)
+
+    @staticmethod
+    def _check_workers(monkeypatch, n, image, exps, oracle):
+        rank, c, e = len(image) // 2, Permutation(image), ExponentVector(exps)
         rng = np.random.default_rng(n)
-        f, g = random_signal(n, 3, rng), random_signal(n, 1, rng)
+        f, g = random_signal(n, rank, rng), random_signal(n, 1, rng)
         norms = []
         for cpus in (1, 3):
             monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
             norms.append(mixed_modulation_norm(f, g, c, e))
         assert norms[0] == norms[1]
-        if n <= 12:  # at n = 20 the full STFT alone takes 1 GiB
-            want = mixed_norm(stft(f, tensor_window(g, 3)), c, e)
+        if oracle:
+            want = mixed_norm(stft(f, tensor_window(g, rank)), c, e)
             assert abs(norms[0] - want) <= 1e-12 * want, (norms[0], want)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])

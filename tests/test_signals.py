@@ -71,9 +71,7 @@ class TestFiniteSignal:
 
     def test_norm_inner(self):
         f = _rand(8, 1, 0)
-        assert np.isclose(f.norm() ** 2, f.inner(f).real)
-        g = _rand(8, 1, 1)
-        assert np.isclose(f.inner(g), np.conj(g.inner(f)))
+        assert np.isclose(f.norm() ** 2, np.vdot(f.values, f.values).real)
 
     def test_grid_row_major(self):
         f = FiniteSignal(2, 2, [0, 1, 2, 3])
@@ -144,7 +142,7 @@ class TestSTFT:
         scale = n ** (dim / 2)
         for k in np.ndindex((n,) * dim):
             for l in np.ndindex((n,) * dim):
-                expect = f.inner(tf_shift(full, k, l)) / scale
+                expect = np.vdot(tf_shift(full, k, l).values, f.values) / scale
                 assert abs(v[k + l] - expect) <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("n,dim", [(7, 1), (6, 2), (5, 3)])
