@@ -12,27 +12,27 @@ lifts a pair to any d: axis or level s stands for the block
 (s - 1) d + 1, ..., s d.  A permutation of length rank * d belongs to a
 class when every lifted pair holds.
 
-mixed_modulation_norm takes a one-dimensional window g, standing for its
-tensor power, and transforms only the variables its norm needs; _plan decides
-how, and planned_bytes prices that plan.  By Moyal's identity, an l^2 sum over
-both axes (k_j, l_j) of a set v of variables equals ||g||^|v| times the l^2
-norm over their untransformed points t_v, so those variables are never
-transformed; when v would hold every variable, the norm is the closed form
-||F|| ||g||^r, and the STFT is taken anyway so that this closed form still
-checks the transform.  The time shifts of the transformed variable whose time
-axis is contracted outermost are taken in groups, one slab per shift.  A group
-is built in row blocks of at most BLOCK entries (2 MiB of complex values),
-several shifts to a block where slabs are smaller, and each block is contracted
-at once by the first contraction, the l^2 collapse over t_v or else level 1,
-when that reduces each row on its own; otherwise a group is one slab, built as
-one block.  A group's collapsed slabs are contracted in one call over the levels
-inside their time axis's level, and the groups are joined for the levels outside
-it.  One worker thread per CPU takes the groups in turn, unless there is one
-group; the plan sets the groups, not the CPU count, so a norm has the same bits
-on any number of workers.  A norm with no such v takes the full STFT, planned as
-one block of every shift, at rank 1, whose level 1 may lie on k_w, which the loop
-cannot contract first, and at rank 2 when its n^4 entries fit in one block, where
-the full STFT is faster.
+mixed_modulation_norm takes a one-dimensional window g, standing for its tensor
+power, and transforms only the variables its norm needs; _plan decides how, and
+planned_bytes prices that plan.  By Moyal's identity, an l^2 sum over both axes
+(k_j, l_j) of a set v of variables equals ||g||^|v| times the l^2 norm over
+their untransformed points t_v, so those variables are never transformed.  v
+stops one variable short of all of them: at all-2 exponents with every level
+paired, the norm is the closed form ||F|| ||g||^r, and one variable is still
+transformed so that this closed form checks the transform.  The time shifts of
+the transformed variable whose time axis is contracted outermost are taken in
+groups, one slab per shift.  A group is built in row blocks of at most BLOCK
+entries (2 MiB of complex values), several shifts to a block where slabs are
+smaller, and each block is contracted at once by the first contraction, the l^2
+collapse over t_v or else level 1, when that reduces each row on its own;
+otherwise a group is one slab, built as one block.  A group's collapsed slabs
+are contracted in one call over the levels inside their time axis's level, and
+the groups are joined for the levels outside it.  One worker thread per CPU
+takes the groups in turn, unless there is one group; the plan sets the groups,
+not the CPU count, so a norm has the same bits on any number of workers.  A norm
+with no such v takes the full STFT, planned as one block of every shift, at rank
+1, whose level 1 may lie on k_w, which the loop cannot contract first, and at
+rank 2 when its n^4 entries fit in one block, where the full STFT is faster.
 An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
@@ -222,9 +222,9 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     """(full, u, v, first, blocks, levels): how mixed_modulation_norm takes a norm
     of rank r = len(c) / 2 on Z_n; variables are numbered from 0.
 
-    v is the largest set of variables whose time and frequency axes fill the
-    innermost 2|v| levels, all with exponent 2, or empty when that set holds every
-    variable; u holds the others, in the order of the levels of their time axes.
+    v is the largest set of fewer than r variables whose time and frequency axes
+    fill the innermost 2|v| levels, all with exponent 2; u holds the others, at least
+    one, in the order of the levels of their time axes.
     A slab is the (before, 1, n, points) transform at one time shift of w = u[-1]:
     (k, l) of each variable of u but w, then l_w, then t_v.  Its first contraction
     (m, after, q), the l^2 collapse over t_v or else level 1, reads m entries
@@ -243,10 +243,8 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
         if p != 2.0:
             break
         seen.add((axis - 1) % r)
-        if level == 2 * len(seen):  # these levels hold both axes of each variable seen
+        if level == 2 * len(seen) < 2 * r:  # both axes of each variable seen, one short of all
             v = sorted(seen)
-    if len(v) == r:
-        v = []
     u = [axis - 1 for axis in c.image if axis <= r and axis - 1 not in v]
     points, before = n ** len(v), n ** (2 * len(u) - 2)
     if not v and (r == 1 or r == 2 and n ** 4 <= BLOCK):

@@ -77,10 +77,10 @@ def test_t29_ratio_converges_to_the_closed_form(p):
     assert abs(got / want - 1) <= 1e-12, (got, want)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 def test_t29_ratio_is_one_at_p_two(n):
     # The all-2 norm is the l^2 norm of K (Moyal), which is its S^2 norm; the
-    # continuum forms agree.  The norm takes the transform all the same: the full
-    # n^4 STFT at n = 16, one n^3 slab per time shift from n = 20 on.
+    # continuum forms agree.  The norm takes a transform all the same: Moyal
+    # collapses the variable of levels 1 and 2, and the other one is transformed.
     assert continuum_schatten(2.0) / continuum_mixed((2.0,) * 4) == pytest.approx(1, abs=1e-12)
     assert discrete_ratio(n, 2.0) == pytest.approx(1, abs=1e-12)

@@ -469,12 +469,16 @@ class TestSharpnessExperiment:
     @pytest.mark.parametrize("control", [False, True], ids=["violated", "control"])
     @pytest.mark.parametrize("theorem", ["SHARP-T4.3", "SHARP-T4.4"])
     def test_closed_form_growth_through_the_streamed_plan(self, theorem, control):
-        # At p = 2 the b1 factor's all-2 norm takes the full STFT at n = 8 and
-        # streams at n = 32; the growth over the two is 32 / 8 when violated, 1 else.
+        # At p = 2 the b1 factor's all-2 norm collapses one variable by Moyal and
+        # transforms the other at n = 8 and 32; the growth over the two is 32 / 8
+        # when violated, 1 else.
         cfg = ExperimentConfig(theorem_id=theorem, n_values=(8, 32), p=2.0, trials=1,
                                seed=1, control_arm=control)
         c, e = lab._factor_norms(cfg)[0]
-        assert len(c) == 4 and _plan(8, c, e)[0] and not _plan(32, c, e)[0]
+        assert len(c) == 4
+        for n in cfg.n_values:
+            full, u, v = _plan(n, c, e)[:3]
+            assert not full and len(u) == 1 and len(v) == 1
         want = 1.0 if control else 4.0
         assert abs(sharpness_experiment(cfg).growth_factor - want) <= 1e-10 * want
 

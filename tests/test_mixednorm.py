@@ -390,16 +390,18 @@ class TestNormPlanner:
 
     def test_rank2_slab_rule_takes_every_permutation(self):
         # Each rank-2 permutation at an odd n, all-2 (SHARP-T4.3/T4.4's b1 at p = 2)
-        # and with an innermost exponent other than 2: v is empty, and the norm streams.
+        # and with an innermost exponent other than 2, streams.  All-2, v is the
+        # variable whose two axes are levels 1 and 2 when they pair; else v is empty.
         rng = np.random.default_rng(21)
         for image in itertools.permutations(range(1, 5)):
-            for exps in ((2.0,) * 4, _slab_case(rng, 2)[3]):
+            pair = [(image[0] - 1) % 2] if abs(image[0] - image[1]) == 2 else []
+            for exps, v in (((2.0,) * 4, pair), (_slab_case(rng, 2)[3], [])):
                 plan = _plan(21, Permutation(image), ExponentVector(tuple(exps)))
-                assert plan[:3] == (False, [a - 1 for a in image if a <= 2], [])
+                assert plan[:3] == (False, [a - 1 for a in image if a <= 2 and a - 1 not in v], v)
                 self._check((2, 21, image, exps), "random", "random", 1.0, 21)
 
     @pytest.mark.parametrize("image,exps", [
-        ((2, 4, 1, 3), (2, 2, 2, 2)),        # SHARP-T4.3/T4.4's b1 at p = 2
+        ((1, 2, 3, 4), (2, 2, 2, 2)),        # all-2 with no closed proper prefix
         ((1, 3, 2, 4), (INF, 2, 1.5, 1.5)),  # level 1 on k_1: each slab whole
         ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),  # T4.5a: level 1 on l_w, row blocks
     ])
@@ -434,7 +436,7 @@ class TestNormPlanner:
                  ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
                  ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
                  ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12 ** 3, 12 ** 2, 1),
-                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 5, 12 ** 4, 2),
+                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 4, 12 ** 2, 1),
                  ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 4, 12 ** 2, 1),
                  ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2)}
 
@@ -447,7 +449,7 @@ class TestNormPlanner:
         ((4, 1, 2, 3), (2, 1.5, 1.5, 1.5), ([0, 1], []), 4),                  # T4.5a
         ((4, 1, 2, 3), (2, 2, 2, 2), ([0, 1], []), 4),                        # T4.5a, p = 2
         ((1, 2), (2, 2), ([0], []), 2),                                       # all-2, rank 1
-        ((2, 5, 1, 4, 6, 3), (2,) * 6, ([1, 0, 2], []), 5),                   # all-2, rank 3
+        ((2, 5, 1, 4, 6, 3), (2,) * 6, ([2], [0, 1]), 3),                     # all-2, rank 3
         ((1, 2), (2, 1.5), ([0], []), 2),                                     # T4.2a
         ((1, 2), (INF, 1), ([0], []), 2),                                     # T4.2a's g
         ((1, 2, 3, 4), (2, 2, 2, 1.5), ([0, 1], []), 4),          # l^2 levels, no pair
@@ -561,15 +563,35 @@ class TestNormPlanner:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_all_2_norm_still_takes_the_transform(self, rank):
         # Collapsing every variable would give Moyal's closed form by
-        # construction; the transform is taken, and the closed form checks it.
+        # construction; v stops at the largest closed proper prefix, so at least
+        # one variable is transformed, and the closed form checks it.
         n = 6
+        e = ExponentVector((2.0,) * (2 * rank))
+        for image in itertools.permutations(range(1, 2 * rank + 1)):
+            sizes = [k for k in range(rank)
+                     if len({(a - 1) % rank for a in image[:2 * k]}) == k]
+            v = sorted({(a - 1) % rank for a in image[:2 * max(sizes)]})
+            _, u, got_v = _plan(n, Permutation(image), e)[:3]
+            assert got_v == v and u and sorted(u + v) == list(range(rank)), image
+            assert (len(u) == 1) == (abs(image[-1] - image[-2]) == rank), image
         rng = np.random.default_rng(rank)
         f = random_signal(n, rank, rng)
         g = random_signal(n, 1, rng)
-        c, e = Permutation.identity(2 * rank), ExponentVector((2.0,) * (2 * rank))
+        c = Permutation.identity(2 * rank)
         assert _plan(n, c, e)[2] == []
         want = f.norm() * g.norm() ** rank
         assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
+        # The benchmark's all-2 spot checks transform one variable: the norm
+        # matches both Moyal's closed form and the full STFT.
+        if rank == 1:
+            return
+        c = Permutation({2: (1, 3, 2, 4), 3: (2, 5, 1, 4, 3, 6)}[rank])
+        assert len(_plan(n, c, e)[1]) == 1
+        for g in (delta(n), periodized_gaussian(n), random_signal(n, 1, rng)):
+            got = mixed_modulation_norm(f, g, c, e)
+            for want in (f.norm() * g.norm() ** rank,
+                         mixed_norm(stft(f, tensor_window(g, rank)), c, e)):
+                assert abs(got - want) <= 1e-12 * want, (g, got, want)
 
     @pytest.mark.parametrize("case", [
         (2, 7, (1, 3, 2, 4), (2, 2, 1.5, INF)),                # l^2 collapse
