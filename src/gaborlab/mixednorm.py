@@ -23,16 +23,15 @@ transformed so that this closed form checks the transform.  The time shifts of
 the transformed variable whose time axis is contracted outermost are taken in
 groups, one slab per shift.  A group is built in row blocks of at most BLOCK
 entries (2 MiB of complex values), several shifts to a block where slabs are
-smaller, and each block is contracted at once by the first contraction, the l^2
-collapse over t_v or else level 1, when that reduces each row on its own;
-otherwise a group is one slab, built as one block.  A group's collapsed slabs
-are contracted in one call over the levels inside their time axis's level, and
-the groups are joined for the levels outside it.  One worker thread per CPU
-takes the groups in turn, unless there is one group; the plan sets the groups,
-not the CPU count, so a norm has the same bits on any number of workers.  A norm
-with no such v takes the full STFT, planned as one block of every shift, at rank
-1, whose level 1 may lie on k_w, which the loop cannot contract first, and at
-rank 2 when its n^4 entries fit in one block, where the full STFT is faster.
+smaller.  A block keeps the absolute values of its rows, reduced at once by the
+l^2 collapse over t_v, or else by level 1 where that lies along the rows; a
+group's rows are contracted in one call over the other levels inside their time
+axis's level, and the groups are joined for the levels outside it.  One worker
+thread per CPU takes the groups in turn, unless there is one group; the plan
+sets the groups, not the CPU count, so a norm has the same bits on any number
+of workers.  A norm with no such v takes the full STFT, planned as one block of
+every shift, at rank 1 and at rank 2 when its n^4 entries fit in one block,
+where the full STFT is faster.
 An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
@@ -183,18 +182,18 @@ def mixed_norm(arr, c: Permutation, exps: ExponentVector) -> float:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("array entries must be finite")
-    return float(_contract(a, [cj - 1 for cj in c.image], exps))
+    return float(_contract(np.abs(a), [cj - 1 for cj in c.image], exps))
 
 
 def _contract(a: np.ndarray, axes, exps):
-    """Nested l^p norms of |a|: level j contracts axis axes[j] with exps[j].
-    The axes not given stay in front, in their order."""
+    """Nested l^p norms of the non-negative a: level j contracts axis axes[j]
+    with exps[j].  The axes not given stay in front, in their order."""
     # Reverse the level order so that level j's axis sits at position -1 when
-    # its turn comes.  np.abs keeps the memory layout of the transposed view, so
+    # its turn comes.  The transposed view keeps the memory layout of `a`, so
     # that axis is contiguous only where it was in `a`; elsewhere the sums run
     # along a strided axis, in the order that layout sets.
     rest = [i for i in range(a.ndim) if i not in axes]
-    a = np.abs(np.transpose(a, axes=rest + axes[::-1]))
+    a = np.transpose(a, axes=rest + axes[::-1])
     for p in exps:
         a = lp_norm(a, p)
     return a
@@ -227,16 +226,15 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     one, in the order of the levels of their time axes.
     A slab is the (before, 1, n, points) transform at one time shift of w = u[-1]:
     (k, l) of each variable of u but w, then l_w, then t_v.  Its first contraction
-    (m, after, q), the l^2 collapse over t_v or else level 1, reads m entries
-    `after` apart with exponent q, row-local exactly when after is 1.  A block
-    holds `shifts` time shifts for `step` of a slab's rows, at most BLOCK entries
-    when row-local, else one slab; `workers` threads take the groups of shifts.
-    levels = (width, inner, outer): inner contracts a group's collapsed slabs, its
-    shifts on axis 0 and then `width` axes, over the levels inside k_w's; outer
-    the groups joined over k_w.  A full
-    plan (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries) takes
-    the full STFT as one block of every shift, its first contraction on the STFT's
-    axis c(1), and has no levels."""
+    (m, q) reduces the last m entries of each row with exponent q: the l^2 collapse
+    over t_v, else level 1 if it lies on l_w, else none (m = 1).  A block holds
+    `shifts` time shifts for `step` of a slab's rows, at most BLOCK entries or one
+    row; `workers` threads take the groups of shifts.
+    levels = (width, inner, outer): inner contracts a group's first contractions,
+    its shifts on axis 0 and then `width` axes, over the levels inside k_w's; outer
+    the groups joined over k_w.  A full plan (v empty, and rank 1 or a rank-2
+    transform of at most BLOCK entries) takes the full STFT as one block of every
+    shift, its first contraction level 1, and has no levels."""
     r = len(c) // 2
     v, seen = [], set()
     for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
@@ -248,20 +246,19 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     u = [axis - 1 for axis in c.image if axis <= r and axis - 1 not in v]
     points, before = n ** len(v), n ** (2 * len(u) - 2)
     if not v and (r == 1 or r == 2 and n ** 4 <= BLOCK):
-        return True, u, v, (n, n ** (2 * r - c.image[0]), exps.exps[0]), (n, before, 1), None
+        return True, u, v, (n, exps.exps[0]), (n, before, 1), None
     held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]  # ends with l_w
     axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
     if v:
-        first = points, 1, 2.0
-    else:
-        first = n, n ** (len(held) - 1 - held.index(axes[0])), level_exps[0]
-        held.remove(axes[0])
+        first = points, 2.0
+    elif axes[0] == held[-1]:
+        first = n, level_exps[0]
+        held.pop()
         axes, level_exps = axes[1:], level_exps[1:]
-    if first[1] == 1:
-        shifts = min(n, max(1, BLOCK // (before * n * points)))
-        step = min(before, max(1, BLOCK // (n * points)))
     else:
-        shifts, step = 1, before
+        first = 1, 1.0
+    shifts = min(n, max(1, BLOCK // (before * n * points)))
+    step = min(before, max(1, BLOCK // (n * points)))
     split = axes.index(u[-1] + 1)
     stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
     return False, u, v, first, (shifts, step, min(-(-n // shifts), _cpus())), (
@@ -273,17 +270,18 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     """Bytes mixed_modulation_norm holds at once for an object on Z_n of rank
     len(c) / 2, read from its plan.  The loop holds arr, the n^(2|u|-1) * n^|v|
     entries at 16 bytes each that a slab is cut from, which the transform before it
-    held beside an nth of that.  Each worker's block takes 16 bytes an entry, 8 for
-    its absolute value and, for the first contraction's exponent q, none at q = 1 or
-    inf and 8 else, plus six doubles per first-contraction result of its shifts.
-    The full STFT is its one block of every shift, and arr the array its last
-    transform step reads.  The n x n shifted windows and 256 KiB of numpy's
-    iterator buffers, 8192 entries of each operand of a broadcast complex product,
-    cover the rest."""
-    _, u, v, (m, _, q), (shifts, step, workers), _ = _plan(n, c, exps)
+    held beside an nth of that.  Each worker's block takes 24 bytes an entry, 16 for
+    its values and 8 for their absolute values, plus 48 per result of its shifts'
+    first contractions, or 16 per absolute value without one.  The full STFT is
+    its one block of every shift, 8 bytes an entry more for level 1's temporaries
+    at an exponent q other than 1 or inf, and arr the array its last transform
+    step reads.  The n x n shifted windows and 256 KiB of numpy's iterator buffers,
+    8192 entries of each operand of a broadcast complex product, cover the rest."""
+    full, u, v, (m, q), (shifts, step, workers), _ = _plan(n, c, exps)
     points = n ** len(v)
     slab = n ** (2 * len(u) - 1) * points
-    worker = shifts * step * n * points * (24 if q in (1.0, INF) else 32) + 48 * shifts * slab // m
+    worker = (shifts * step * n * points * (32 if full and q not in (1.0, INF) else 24)
+              + (48 if m > 1 else 16) * shifts * slab // m)
     return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 18
 
 
@@ -303,7 +301,7 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     n, r = obj.n, obj.dim
     if len(c) != 2 * r or len(exps) != 2 * r:
         raise ValueError(f"permutation and exponents must have length {2 * r}")
-    full, u, v, (m, after, q), (shifts, step, workers), levels = _plan(n, c, exps)
+    full, u, v, (m, q), (shifts, step, workers), levels = _plan(n, c, exps)
     if full:
         return mixed_norm(stft(obj, window), c, exps)
     width, inner, outer = levels
@@ -316,14 +314,15 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     arr = arr.reshape(before, n, points)
 
     def remainders(k):  # the slabs at time shifts k, ..., k + shifts - 1, contracted at once
-        shift, firsts = rows[k:k + shifts], []
+        shift = rows[k:k + shifts]
+        # Rows before shifts in memory, as the sums' order follows the layout.
+        firsts = np.empty((before, len(shift), n * points // m))
         for lo in range(0, before, step):
             part = arr[lo:lo + step]
-            block = stft_axis(part, shift, len(part), points).reshape(
-                len(part) // after, len(shift), -1, m, after)
-            firsts.append(_contract(block, [3], (q,)).reshape(len(part), len(shift), -1))
-        first = np.moveaxis(np.concatenate(firsts), 1, 0).reshape((len(shift),) + (n,) * width)
-        return _contract(first, *inner)
+            block = np.abs(stft_axis(part, shift, len(part), points)).reshape(
+                len(part), len(shift), -1, m)
+            firsts[lo:lo + step] = lp_norm(block, q) if m > 1 else block[..., 0]
+        return _contract(np.moveaxis(firsts, 1, 0).reshape((len(shift),) + (n,) * width), *inner)
 
     groups = range(0, n, shifts)
     if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up

@@ -369,9 +369,9 @@ class TestMemoryGuard:
     def test_sharpness_factors_are_planned(self, monkeypatch):
         # SHARP-T4.3's b1 factor keeps one untransformed variable and streams
         # the other: slabs of n^2 entries, 32 shifts to a 2^17-entry block on
-        # each of two workers, 32 bytes an entry under an l^2 collapse.
+        # each of two workers, 24 bytes an entry.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
-        need = 16 * 64 ** 2 + 2 * (32 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 18
+        need = 16 * 64 ** 2 + 2 * (24 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 18
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 128), trials=1)
         with pytest.raises(ConfigError, match="n = 128"):

@@ -402,7 +402,7 @@ class TestNormPlanner:
 
     @pytest.mark.parametrize("image,exps", [
         ((1, 2, 3, 4), (2, 2, 2, 2)),        # all-2 with no closed proper prefix
-        ((1, 3, 2, 4), (INF, 2, 1.5, 1.5)),  # level 1 on k_1: each slab whole
+        ((1, 3, 2, 4), (INF, 2, 1.5, 1.5)),  # level 1 on k_1: absolute values kept
         ((4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),  # T4.5a: level 1 on l_w, row blocks
     ])
     def test_rank2_streams_above_one_block(self, monkeypatch, image, exps):
@@ -422,15 +422,13 @@ class TestNormPlanner:
                 norms.append(mixed_modulation_norm(f, g, c, e))
             assert norms[0] == norms[1], (n, norms)
 
-    # Bytes per entry of the array the first contraction reads are 32 (16, 8 for
-    # its absolute value and 8 of temporaries), but 24 where that contraction is
-    # a plain max or sum.
-    _NO_TEMPS = {((1, 2), (INF, 1)), ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),
-                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1))}
+    # A streamed block takes 24 bytes an entry (16, and 8 for its absolute values).
+    # The full STFT lives on beside its absolute values and takes 8 more for
+    # level 1's temporaries, but not where that level is a plain max or sum.
+    _NO_TEMPS = {((1, 2), (INF, 1))}
     # (block, first-contraction results, workers) of each streamed plan at n = 12
-    # on two CPUs.  A block of one shift holds 10,922 rows of 12 entries; a slab
-    # smaller than a block shares it with other shifts, and level 1 on a k axis
-    # reads the slab whole.
+    # on two CPUs.  A block of one shift holds 10,922 rows of 12 entries, and a slab
+    # smaller than a block shares it with other shifts.
     _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (6 * 12 ** 4, 6 * 12 ** 3, 2),
                  ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 4, 12 ** 2, 1),
                  ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
@@ -465,7 +463,7 @@ class TestNormPlanner:
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
         if (image, exps) in self._STREAMED:  # arr, then each worker's block and results
             block, firsts, workers = self._STREAMED[image, exps]
-            want = 16 * 12 ** power + workers * (per_entry * block + 48 * firsts)
+            want = 16 * 12 ** power + workers * (24 * block + 48 * firsts)
         else:  # the full STFT: the one block of every shift, and the array it is cut from
             want = per_entry * 12 ** power + 64 * 12 ** (power - 1)
         assert planned_bytes(12, c, e) == want + 16 * 12 ** 2 + 2 ** 18
@@ -484,6 +482,9 @@ class TestNormPlanner:
         (32, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # streamed, T3.2, row blocks
         (64, (2, 4, 1, 3), (2, 2, 2, 2)),                    # streamed, SHARP b1 at p = 2
         (16, (1, 3, 2, 4), (1, 2, 1.5, 1.5)),                # full STFT, innermost 1
+        (16, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT, T4.5a
+        (64, (1, 3, 2, 4), (INF, 2, 1.5, 1.5)),              # streamed, level 1 on k_1
+        (32, (1, 2, 3, 4), (2, 2, 2, 2)),                    # streamed, all-2, no pair
     ])
     def test_planned_bytes_bound_the_working_set(self, monkeypatch, n, image, exps):
         # The plan holds the traced peak of the norm on this host's workers and at
@@ -519,12 +520,29 @@ class TestNormPlanner:
             assert got <= planned_bytes(n, c, e), (got, planned_bytes(n, c, e))
         assert planned_bytes(n, c, e) <= 1.5 * got, (got, planned_bytes(n, c, e))
 
+    def test_no_block_is_built_whole(self):
+        # Every streamed plan builds a group in row blocks of at most 2^17 entries,
+        # or one row where a row is larger, whichever axis level 1 lies on: each
+        # rank-2 permutation at n = 64, all-2 and at drawn exponents, and 60
+        # rank-3 permutations at n = 16.
+        rng = np.random.default_rng(30)
+        cases = [(64, image, exps) for image in itertools.permutations(range(1, 5))
+                 for exps in ((2.0,) * 4, tuple(rng.choice([1.0, 1.5, 2.0, 3.0, INF], 4)))]
+        perms = list(itertools.permutations(range(1, 7)))
+        cases += [(16, perms[i], tuple(rng.choice([1.0, 1.5, 2.0, 3.0, INF], 6)))
+                  for i in rng.choice(len(perms), 60, replace=False)]
+        for n, image, exps in cases:
+            full, _, v, _, (shifts, step, _), _ = _plan(n, Permutation(image),
+                                                       ExponentVector(exps))
+            row = n ** (1 + len(v))
+            assert full or shifts * step * row <= max(2 ** 17, row), (n, image, exps)
+
     @pytest.mark.parametrize("n", [9, 12, 20])
     @pytest.mark.parametrize("image,exps", [
         ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),    # T3.2
         ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),    # T4.4b
         ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)),  # T4.5b
-        ((1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),    # l outermost: whole slabs
+        ((1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),    # level 1 on k_1: absolute values
     ])
     def test_workers_keep_every_bit(self, monkeypatch, n, image, exps):
         # At these n most plans end on a ragged row block or group of shifts (at
@@ -534,15 +552,19 @@ class TestNormPlanner:
         self._check_workers(monkeypatch, n, image, exps, oracle=n <= 12)
 
     @pytest.mark.parametrize("image,exps", [
-        ((1, 3, 2, 4), (2, 2, 1.5, 1.5)),  # T2.9
-        ((2, 4, 1, 3), (2, 2, 1.5, 1.5)),  # SHARP-T4.3/T4.4's b1 at p = 1.5
+        ((1, 3, 2, 4), (2, 2, 1.5, 1.5)),    # T2.9
+        ((2, 4, 1, 3), (2, 2, 1.5, 1.5)),    # SHARP-T4.3/T4.4's b1 at p = 1.5
+        ((2, 4, 1, 3), (INF, 2, 1.5, 1.5)),  # SHARP-T4.3's b1 under --raise 1=inf
     ])
     def test_workers_keep_every_bit_at_rank_2(self, monkeypatch, image, exps):
         # A rank-2 Moyal plan takes as many shifts to a group as fill one block:
         # one group of all 32 shifts at n = 32, two groups of 32 at n = 64, which
-        # the workers share.
+        # the workers share.  With level 1 on k_2 a group keeps the absolute
+        # values of its n^2 rows: 4 shifts to a block at n = 32, and at n = 64
+        # one shift in two row blocks.
         c, e = Permutation(image), ExponentVector(exps)
-        assert _plan(32, c, e)[4][:1] == _plan(64, c, e)[4][:1] == (32,)
+        shifts = (32, 32) if exps[0] == 2 else (4, 1)
+        assert (_plan(32, c, e)[4][0], _plan(64, c, e)[4][0]) == shifts
         self._check_workers(monkeypatch, 32, image, exps, oracle=True)
         self._check_workers(monkeypatch, 64, image, exps, oracle=False)
 
