@@ -20,18 +20,25 @@ their untransformed points t_v, so those variables are never transformed.  v
 stops one variable short of all of them: at all-2 exponents with every level
 paired, the norm is the closed form ||F|| ||g||^r, and one variable is still
 transformed so that this closed form checks the transform.  The time shifts of
-the transformed variable whose time axis is contracted outermost are taken in
-groups, one slab per shift.  A group is built in row blocks of at most BLOCK
-entries (2 MiB of complex values), several shifts to a block where slabs are
-smaller.  A block keeps the absolute values of its rows, reduced at once by the
-l^2 collapse over t_v, or else by level 1 where that lies along the rows; a
-group's rows are contracted in one call over the other levels inside their time
-axis's level, and the groups are joined for the levels outside it.  One worker
-thread per CPU takes the groups in turn, unless there is one group; the plan
-sets the groups, not the CPU count, so a norm has the same bits on any number
-of workers.  A norm with no such v takes the full STFT, planned as one block of
-every shift, at rank 1 and at rank 2 when its n^4 entries fit in one block,
-where the full STFT is faster.
+the transformed variable w whose time axis is contracted outermost are taken in
+groups, one slab per shift.  Where that holds fewer bytes, so are those of w2,
+the variable contracted next outermost: the transform is then built one group of
+w2's shifts (at most BLOCK entries, or one shift) at a time and is never held
+whole.  A group of w's shifts is built in row blocks of at most BLOCK entries
+(2 MiB of complex values), several shifts to a block where slabs are smaller, in
+buffers each task reuses.  A block keeps the absolute values of its rows,
+reduced at once by the l^2 collapse over t_v, or else by level 1 where that lies
+along the rows.  A group's rows are contracted in one call over the other levels
+inside the level of w2's time axis (w's, where w2's shifts are not split), and
+the results of every group, stacked, over the levels left.  One worker thread per
+CPU takes the groups of w2's shifts in turn, each built by the worker and taken
+at every shift of w; a group larger than a block is built once by the workers
+together, and they take the groups of w's shifts in turn, as they do where w2
+has one group.  There is no thread where there is one group.  The plan sets the
+groups, not the CPU count, so a norm has the same bits on any number of workers.
+A norm with no such v takes the full STFT, planned as one block of every shift,
+at rank 1 and at rank 2 when its n^4 entries fit in one block, where the full
+STFT is faster.
 An r-dimensional window G is refused: mixed_norm(stft(F, G), c, exps) takes it.
 """
 
@@ -41,6 +48,7 @@ import math
 import numbers
 import operator
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 
@@ -150,19 +158,27 @@ def _peak_scaled_norm(a: np.ndarray, p: float, out=None):
     return peak * scaled.sum(axis=-1) ** (1.0 / p)
 
 
-def lp_norm(a: np.ndarray, p: float):
+def lp_norm(a: np.ndarray, p: float, out=None):
     """l^p norm over the last axis of a non-negative array.  A general p is
     taken on the array scaled by its peak, so large entries cannot overflow.
     p = 2 sums plain squares, and retakes on the scaled path only the rows
-    whose sum overflowed or fell below 1e-300, where underflow eats digits."""
+    whose sum overflowed or fell below 1e-300, where underflow eats digits.
+    `out`, an array of a's shape, takes the scaled array or the squares.
+    p = inf takes 4096 or more entries in rows shorter than 32 column by column,
+    which is faster there than numpy's row reduction and gives the same maxima."""
     if p == INF:
-        return a.max(axis=-1, initial=0.0)
+        if a.shape[-1] >= 32 or a.size < 2 ** 12:
+            return a.max(axis=-1, initial=0.0)
+        peak = np.zeros(a.shape[:-1])
+        for column in np.moveaxis(a, -1, 0):
+            np.maximum(peak, column, out=peak)
+        return peak
     if p == 1.0:
         return a.sum(axis=-1)
     if p != 2.0:
-        return _peak_scaled_norm(a, p)
+        return _peak_scaled_norm(a, p, out)
     with np.errstate(over="ignore", under="ignore"):
-        squares = (a * a).sum(axis=-1)
+        squares = np.multiply(a, a, out=out).sum(axis=-1)
     norm = np.sqrt(squares)
     redo = ~((squares > 1e-300) & (squares < INF))
     if redo.any():
@@ -223,18 +239,26 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
 
     v is the largest set of fewer than r variables whose time and frequency axes
     fill the innermost 2|v| levels, all with exponent 2; u holds the others, at least
-    one, in the order of the levels of their time axes.
-    A slab is the (before, 1, n, points) transform at one time shift of w = u[-1]:
-    (k, l) of each variable of u but w, then l_w, then t_v.  Its first contraction
-    (m, q) reduces the last m entries of each row with exponent q: the l^2 collapse
-    over t_v, else level 1 if it lies on l_w, else none (m = 1).  A block holds
-    `shifts` time shifts for `step` of a slab's rows, at most BLOCK entries or one
-    row; `workers` threads take the groups of shifts.
-    levels = (width, inner, outer): inner contracts a group's first contractions,
-    its shifts on axis 0 and then `width` axes, over the levels inside k_w's; outer
-    the groups joined over k_w.  A full plan (v empty, and rank 1 or a rank-2
-    transform of at most BLOCK entries) takes the full STFT as one block of every
-    shift, its first contraction level 1, and has no levels."""
+    one, in the order of the levels of their time axes: w = u[-1], w2 = u[-2].
+    blocks = (wide, shifts, step, workers).  The loop reads w2's transform `wide`
+    time shifts at a time (all n: one group) as (before, n, points): rows of (k, l)
+    of each variable of u but w, then t_w, then t_v.  A group of w2's shifts holds
+    at most BLOCK entries, or one shift, the groups as even as that allows, and
+    they are taken only where that plan prices below one group of every shift, as
+    the results they leave keep k_w2 and each axis contracted after it.  A slab is
+    one time shift of w; its first contraction (m, q) reduces the last m entries of
+    each row with exponent q: the l^2 collapse over t_v, else level 1 if it lies on
+    l_w, else none (m = 1).  A block holds `shifts` time shifts for `step` rows, at
+    most BLOCK entries or one row; `workers` threads take the groups of w2's shifts
+    where a group fits a block, else the groups of w's.
+    levels = (shape, inner, at, order, outer): inner contracts a group's first
+    contractions, its shifts on axis 0 and then axes of sizes `shape` (-1 for the
+    group's k_w2), over the levels inside k_w2's (k_w's for one group); outer
+    contracts R, the results stacked over k_w, and over k_w2 at axis `at` where w2
+    is split (else at is 0), laid out with its axes `order` in memory.  A full plan
+    (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries) takes the
+    full STFT as one block of every shift, its first contraction level 1, and has
+    no levels."""
     r = len(c) // 2
     v, seen = [], set()
     for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
@@ -244,9 +268,9 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
         if level == 2 * len(seen) < 2 * r:  # both axes of each variable seen, one short of all
             v = sorted(seen)
     u = [axis - 1 for axis in c.image if axis <= r and axis - 1 not in v]
-    points, before = n ** len(v), n ** (2 * len(u) - 2)
+    points, line = n ** len(v), n ** (2 * len(u) - 2 + len(v))
     if not v and (r == 1 or r == 2 and n ** 4 <= BLOCK):
-        return True, u, v, (n, exps.exps[0]), (n, before, 1), None
+        return True, u, v, (n, exps.exps[0]), (n, n, n ** (2 * len(u) - 2), 1), None
     held = [a for j in u for a in (j + 1, r + j + 1) if a != u[-1] + 1]  # ends with l_w
     axes, level_exps = c.image[2 * len(v):], exps.exps[2 * len(v):]
     if v:
@@ -257,38 +281,163 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
         axes, level_exps = axes[1:], level_exps[1:]
     else:
         first = 1, 1.0
-    shifts = min(n, max(1, BLOCK // (before * n * points)))
-    step = min(before, max(1, BLOCK // (n * points)))
-    split = axes.index(u[-1] + 1)
-    stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
-    return False, u, v, first, (shifts, step, min(-(-n // shifts), _cpus())), (
-        len(held), ([held.index(a) + 1 for a in axes[:split]], level_exps[:split]),
-        ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
+    shape = [n] * len(held)
+    if len(u) > 1:
+        shape[held.index(u[-2] + 1)] = -1  # the group's shifts of w2
+
+    def grouped(wide):  # the plan that takes w2's shifts `wide` at a time, on one worker
+        before = wide * line // (n * points)
+        split = axes.index(u[-1 - (wide < n)] + 1)
+        stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
+        # R's axes in memory.  With one group: the rows' axes, then k_w, then l_w,
+        # the layout of a group's results that joining them kept before w2's shifts
+        # could be split; the sums over R follow it, so it keeps their bits.
+        order = list(range(len(stacked)))
+        if wide == n:
+            order = ([i for i, a in enumerate(stacked) if i and a != r + u[-1] + 1] + [0]
+                     + [i for i, a in enumerate(stacked) if a == r + u[-1] + 1])
+        return False, u, v, first, (
+            wide, min(n, max(1, BLOCK // (wide * line))),
+            min(before, max(1, BLOCK // (n * points))), 1), (
+            tuple(shape), ([held.index(a) + 1 for a in axes[:split]], level_exps[:split]),
+            stacked.index(u[-2] + 1) if wide < n else 0, order,
+            ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
+
+    full, u, v, first, (wide, shifts, step, _), levels = plan = grouped(n)
+    most = min(n, max(1, BLOCK // line)) if len(u) > 1 else n
+    if most < n:  # w2's shifts in groups, evened out, where that prices below one group
+        full, u, v, first, (wide, shifts, step, _), levels = min(
+            plan, grouped(-(-n // -(-n // most))), key=lambda plan: _price(n, plan))
+    tasks = -(-n // (wide if wide < n and wide * line <= BLOCK else shifts))
+    return full, u, v, first, (wide, shifts, step, min(tasks, _cpus())), levels
+
+
+def _price(n: int, plan: tuple) -> int:
+    """planned_bytes of a plan."""
+    full, u, v, (m, q), (wide, shifts, step, workers), levels = plan
+    points, line = n ** len(v), n ** (2 * len(u) - 2 + len(v))
+    slab, split = wide * line, wide < n
+    arr = line if split else slab
+    own = split and slab <= BLOCK  # each worker's group, else one shared group
+    results = 0 if full else n ** len(levels[-1][0])
+    per_entry = 32 if full and q not in (1.0, INF) else 24
+    worker = (16 * own * slab + per_entry * shifts * step * n * points
+              + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
+    loop = 16 * (split and not own) * slab + workers * worker + 8 * results
+    return (max(16 * arr + max(16 * arr // n, loop), (16 * n + 32) * results // n)
+            + 16 * n * n + workers * 2 ** 18)
 
 
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     """Bytes mixed_modulation_norm holds at once for an object on Z_n of rank
-    len(c) / 2, read from its plan.  The loop holds arr, the n^(2|u|-1) * n^|v|
-    entries at 16 bytes each that a slab is cut from, which the transform before it
-    held beside an nth of that.  Each worker's block takes 24 bytes an entry, 16 for
-    its values and 8 for their absolute values, plus 48 per result of its shifts'
-    first contractions, or 16 per absolute value without one.  The full STFT is
-    its one block of every shift, 8 bytes an entry more for level 1's temporaries
-    at an exponent q other than 1 or inf, and arr the array its last transform
-    step reads.  The n x n shifted windows and 256 KiB of numpy's iterator buffers,
-    8192 entries of each operand of a broadcast complex product, cover the rest."""
-    full, u, v, (m, q), (shifts, step, workers), _ = _plan(n, c, exps)
+    len(c) / 2, read from its plan.  One time shift of w2 has n^(2|u|-2) n^|v|
+    entries, and a slab of w `wide` times that.  With one group of w2's shifts the
+    loop reads the transform of u but w, n such slabs at 16 bytes an entry, which
+    the transform step before it held beside an nth of that.  Where w2's shifts
+    are split, the loop holds the transform of u but w and w2 (one shift's
+    entries), and each worker its group's transform (one group shared by the
+    workers where it is larger than a block), both at 16 bytes an entry.
+    Each worker's block takes 24 bytes an entry, 16 for its values, which then
+    hold the first contraction's temporaries, and 8 for their absolute values;
+    and 48 bytes per result of its shifts' first contractions.  Without a first contraction its
+    absolute values, and in any plan R, the stacked results, take 8 bytes an
+    entry, and contracting either (R once the loop's arrays are freed) takes a
+    scaled copy and four arrays an nth of its size.  The full STFT is its one
+    block of every shift, 8 bytes an entry more for level 1's temporaries at an
+    exponent q other than 1 or inf, and the array its last transform step reads.
+    The n x n shifted windows and, for each worker, 256 KiB of numpy's iterator
+    buffers, 8192 entries of each operand of a broadcast complex product, cover
+    the rest."""
+    return _price(n, _plan(n, c, exps))
+
+
+def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray:
+    """R: the results of every group of time shifts, stacked over k_w, and over
+    k_w2 where w2's shifts come in groups; the groups' arrays go with the call."""
+    n, r = obj.n, obj.dim
+    _, u, v, (m, q), (wide, shifts, step, workers), (shape, inner, at, order, outer) = plan
     points = n ** len(v)
-    slab = n ** (2 * len(u) - 1) * points
-    worker = (shifts * step * n * points * (32 if full and q not in (1.0, INF) else 24)
-              + (48 if m > 1 else 16) * shifts * slab // m)
-    return 16 * slab + max(16 * slab // n, workers * worker) + 16 * n * n + 2 ** 18
+    rows = shifted_window(window) * n ** -0.5
+    arr = obj.grid.transpose(u + v)
+    for i in range(len(u) - 1 - (wide < n)):  # u but w, and but w2 where its shifts are grouped
+        arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
+    if wide < n:
+        arr = np.ascontiguousarray(arr).reshape(-1, 1, n, n * points)
+    else:
+        arr = arr.reshape(-1, n, points)
+    own = wide < n and wide * arr.size <= BLOCK  # each task builds its own group of w2's shifts
+    shared = np.empty(wide * arr.size, complex) if wide < n and not own else None
+    stacked = np.empty((n,) * len(order)).transpose(np.argsort(order))
+
+    def build(k2, out, share=slice(None)):  # w2's group at k2, as stft_axis builds it
+        # A share of the rows of the prefix, or of the shifts where it has too few rows.
+        rows_of, shifts_of = (share, slice(None)) if len(arr) >= workers else (slice(None), share)
+        out = out[:arr.size * len(rows[k2:k2 + wide])].reshape(len(arr), -1, n, n * points)
+        part = out[rows_of, shifts_of]
+        np.multiply(arr[rows_of], rows[k2:k2 + wide][shifts_of, :, None], out=part)
+        np.fft.fft(part, axis=2, out=part)
+        return out.reshape(-1, n, points)
+
+    def slabs(k2, ks):  # w2's shifts k2, ..., k2 + wide - 1 at w's groups of shifts ks
+        # One allocation holds the task's own group and its block buffers, which it
+        # reuses for each block.  As three, they were mapped and faulted in anew
+        # each task: about 5,000 minor faults per T4.4b norm at n = 16, against 6.
+        size, held = shifts * step * n * points, wide * arr.size if own else 0
+        scratch = np.empty(2 * held + 3 * size)
+        buf = scratch[2 * held:2 * held + 2 * size].view(complex)
+        mag = scratch[2 * held + 2 * size:]
+        if wide == n:
+            part = arr
+        elif own:
+            part = build(k2, scratch[:2 * held].view(complex))
+        else:
+            part = shared[:arr.size * len(rows[k2:k2 + wide])].reshape(-1, n, points)
+        region = (slice(None),) * at + (slice(k2, k2 + wide),) * (wide < n)  # in R
+        for k in ks:
+            shift = rows[k:k + shifts]
+            # Rows before shifts in memory, as the sums' order follows the layout.
+            firsts = np.empty((len(part), len(shift), n * points // m))
+            for lo in range(0, len(part), step):
+                rows_in = part[lo:lo + step]
+                out = buf[:len(rows_in) * len(shift) * n * points].reshape(
+                    len(rows_in), len(shift), n, points)
+                np.multiply(rows_in[:, None], shift[:, :, None], out=out)
+                np.fft.fft(out, axis=2, out=out)
+                block = np.abs(out, out=mag[:out.size].reshape(out.shape)).reshape(
+                    len(rows_in), len(shift), -1, m)
+                # The values are spent: their buffer takes the contraction's temporaries.
+                spent = buf.view(np.float64)[:block.size].reshape(block.shape)
+                firsts[lo:lo + step] = lp_norm(block, q, spent) if m > 1 else block[..., 0]
+            stacked[k:k + len(shift)][region] = _contract(
+                np.moveaxis(firsts, 1, 0).reshape((len(shift),) + shape), *inner)
+
+    if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up
+        pool = nullcontext()
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
+        pool = ThreadPoolExecutor(workers)
+    with pool:
+        run = pool.map if workers > 1 else map
+
+        def each(task, calls):  # task(*call) for each call, on the workers or in this thread
+            list(run(lambda call: task(*call), calls))
+
+        if own:  # a task for each group of w2's shifts, at every shift of w
+            each(slabs, [(k2, range(0, n, shifts)) for k2 in range(0, n, wide)])
+        else:  # one group, or groups larger than a block, built once by the workers together
+            shares = [range(i * shifts, n, workers * shifts) for i in range(workers)]
+            for k2 in range(0, n, wide):
+                if shared is not None:
+                    each(build, [(k2, shared, slice(i, None, workers)) for i in range(workers)])
+                each(slabs, [(k2, ks) for ks in shares])
+    return stacked
 
 
 def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
                           exps: ExponentVector) -> float:
     """mixed_norm of the STFT of `obj`, a FiniteSignal or an (n,)*r array, against
-    the tensor power of the one-dimensional `window`, taken as _plan says."""
+    the tensor power of the one-dimensional `window`, taken as _plan says.  A
+    transform that overflows raises FloatingPointError."""
     if window.dim != 1:
         raise ValueError(f"the window is {window.dim}-dimensional; the norm takes a 1-D window g "
                          "and its tensor power, and mixed_norm(stft(F, G), c, exps) takes any G")
@@ -301,34 +450,15 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
     n, r = obj.n, obj.dim
     if len(c) != 2 * r or len(exps) != 2 * r:
         raise ValueError(f"permutation and exponents must have length {2 * r}")
-    full, u, v, (m, q), (shifts, step, workers), levels = _plan(n, c, exps)
-    if full:
-        return mixed_norm(stft(obj, window), c, exps)
-    width, inner, outer = levels
-    points, before = n ** len(v), n ** (2 * len(u) - 2)
-
-    rows = shifted_window(window) * n ** -0.5
-    arr = obj.grid.transpose(u + v)
-    for i in range(len(u) - 1):
-        arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
-    arr = arr.reshape(before, n, points)
-
-    def remainders(k):  # the slabs at time shifts k, ..., k + shifts - 1, contracted at once
-        shift = rows[k:k + shifts]
-        # Rows before shifts in memory, as the sums' order follows the layout.
-        firsts = np.empty((before, len(shift), n * points // m))
-        for lo in range(0, before, step):
-            part = arr[lo:lo + step]
-            block = np.abs(stft_axis(part, shift, len(part), points)).reshape(
-                len(part), len(shift), -1, m)
-            firsts[lo:lo + step] = lp_norm(block, q) if m > 1 else block[..., 0]
-        return _contract(np.moveaxis(firsts, 1, 0).reshape((len(shift),) + (n,) * width), *inner)
-
-    groups = range(0, n, shifts)
-    if workers == 1:  # the whole transform is one block, or one CPU: no thread start-up
-        slabs = [remainders(k) for k in groups]
+    plan = _plan(n, c, exps)
+    if plan[0]:
+        try:
+            norm = mixed_norm(stft(obj, window), c, exps)
+        except ValueError:  # the ranks agree, so an entry of the transform overflowed
+            norm = INF
     else:
-        from concurrent.futures import ThreadPoolExecutor  # here: it imports logging
-        with ThreadPoolExecutor(workers) as pool:
-            slabs = list(pool.map(remainders, groups))
-    return float(_contract(np.concatenate(slabs), *outer)) * window.norm() ** len(v)
+        norm = float(_contract(_stacked(obj, window, plan), *plan[-1][-1]))
+        norm *= window.norm() ** len(plan[2])
+    if not math.isfinite(norm):
+        raise FloatingPointError("the transform of this object overflows the float range")
+    return norm

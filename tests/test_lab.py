@@ -360,18 +360,21 @@ class TestMemoryGuard:
                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
-        # T4.4b's streamed rule holds one n^5 complex array; each of two workers
-        # holds a 2^17-entry block, its absolute values and n^4 level-1 maxima.
-        need = 16 * 512 ** 5 + 2 * (24 * 2 ** 17 + 48 * 512 ** 4) + 16 * 512 ** 2 + 2 ** 18
+        # T4.4b's streamed rule holds x's n^4 transform, y's at one time shift and
+        # n^3 results; each of two workers holds a 2^17-entry block, its absolute
+        # values, n^3 level-1 maxima and numpy's iterator buffers.
+        need = (16 * (512 ** 4 + 512 ** 4) + 2 * (24 * 2 ** 17 + 48 * 512 ** 3 + 2 ** 18)
+                + 8 * 512 ** 3 + 16 * 512 ** 2)
         assert "n = 512" in err and str(need) in err
         assert not out.exists()
 
     def test_sharpness_factors_are_planned(self, monkeypatch):
         # SHARP-T4.3's b1 factor keeps one untransformed variable and streams
         # the other: slabs of n^2 entries, 32 shifts to a 2^17-entry block on
-        # each of two workers, 24 bytes an entry.
+        # each of two workers, 24 bytes an entry, and n^2 results.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
-        need = 16 * 64 ** 2 + 2 * (24 * 2 ** 17 + 48 * 32 * 64) + 16 * 64 ** 2 + 2 ** 18
+        need = (16 * 64 ** 2 + 2 * (24 * 2 ** 17 + 48 * 32 * 64 + 2 ** 18) + 8 * 64 ** 2
+                + 16 * 64 ** 2)
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 128), trials=1)
         with pytest.raises(ConfigError, match="n = 128"):

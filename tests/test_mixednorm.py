@@ -244,6 +244,17 @@ class TestMixedNorm:
             got = lp_norm(np.full(4, entry), 2.0)
         assert got == pytest.approx(2 * entry, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m", [0, 1, 12, 31, 32, 512])
+    def test_max_over_short_and_long_rows(self, m):
+        # Many rows shorter than 32 entries are reduced column by column: the same
+        # maxima as numpy's row reduction, nan included.
+        a = np.abs(np.random.default_rng(m).standard_normal((3, 2000, m)))
+        if m:
+            a[1, 7, m // 2] = np.nan
+        want = a.max(axis=-1, initial=0.0)
+        np.testing.assert_array_equal(lp_norm(a, INF), want)
+        np.testing.assert_array_equal(lp_norm(a[0, 0], INF), want[0, 0])
+
     def test_two_norm_retakes_only_extreme_rows(self):
         """Ordinary rows keep the plain sum-of-squares bits."""
         rng = np.random.default_rng(3)
@@ -333,6 +344,9 @@ def _slab_case(rng, rank=3):
     exps = [float(rng.choice([1.0, 1.5, INF]))] + [
         float(rng.choice([1.0, 1.5, 2.0, 3.0, INF])) for _ in range(2 * rank - 1)]
     return rank, n, list(rng.permutation(2 * rank) + 1), exps
+
+
+_T32 = ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF))
 
 
 class TestNormPlanner:
@@ -426,17 +440,23 @@ class TestNormPlanner:
     # The full STFT lives on beside its absolute values and takes 8 more for
     # level 1's temporaries, but not where that level is a plain max or sum.
     _NO_TEMPS = {((1, 2), (INF, 1))}
-    # (block, first-contraction results, workers) of each streamed plan at n = 12
-    # on two CPUs.  A block of one shift holds 10,922 rows of 12 entries, and a slab
-    # smaller than a block shares it with other shifts.
-    _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (6 * 12 ** 4, 6 * 12 ** 3, 2),
-                 ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 4, 12 ** 2, 1),
-                 ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
-                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2),
-                 ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12 ** 3, 12 ** 2, 1),
-                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 4, 12 ** 2, 1),
-                 ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 4, 12 ** 2, 1),
-                 ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): (10922 * 12, 12 ** 4, 2)}
+    # (prefix, group, block, first-contraction results, R, workers) of each streamed
+    # plan at n = 12 on two CPUs.  With one group of w2's shifts the prefix is the
+    # transform of every variable of u but w, and the loop reads it.  T4.4b and
+    # T4.5b split y's 12 shifts in two groups of 6, each worker's 6 * 12^4 entries
+    # beside x's 12^4; a block then holds one shift of the group's 10,368 rows, and
+    # R holds 12^3 results.  A slab smaller than a block shares it with other shifts.
+    _T44B = (12 ** 4, 6 * 12 ** 4, 10368 * 12, 10368, 12 ** 3, 2)
+    _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (12 ** 4, 0, 6 * 12 ** 4,
+                                                                  6 * 12 ** 3, 12 ** 2, 2),
+                 ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 3, 0, 12 ** 4, 12 ** 2,
+                                                              12 ** 2, 1),
+                 ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): _T44B,
+                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)): _T44B,
+                 ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12 ** 2, 0, 12 ** 3, 12 ** 2, 12 ** 2, 1),
+                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 3, 0, 12 ** 4, 12 ** 2, 12, 1),
+                 ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 3, 0, 12 ** 4, 12 ** 2, 12, 1),
+                 ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): _T44B}
 
     @pytest.mark.parametrize("image,exps,rule,power", [
         ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF), ([0, 2], [1]), 4),     # T3.2
@@ -461,12 +481,13 @@ class TestNormPlanner:
         full, u, v = _plan(12, c, e)[:3]
         assert (u, v) == rule and full == ((image, exps) not in self._STREAMED)
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
-        if (image, exps) in self._STREAMED:  # arr, then each worker's block and results
-            block, firsts, workers = self._STREAMED[image, exps]
-            want = 16 * 12 ** power + workers * (24 * block + 48 * firsts)
+        if (image, exps) in self._STREAMED:  # the transforms, each worker's block and results, R
+            prefix, group, block, firsts, stacked, workers = self._STREAMED[image, exps]
+            want = (16 * prefix + workers * (16 * group + 24 * block + 48 * firsts + 2 ** 18)
+                    + 8 * stacked)
         else:  # the full STFT: the one block of every shift, and the array it is cut from
-            want = per_entry * 12 ** power + 64 * 12 ** (power - 1)
-        assert planned_bytes(12, c, e) == want + 16 * 12 ** 2 + 2 ** 18
+            want = per_entry * 12 ** power + 64 * 12 ** (power - 1) + 2 ** 18
+        assert planned_bytes(12, c, e) == want + 16 * 12 ** 2
 
     @pytest.mark.parametrize("n,image,exps", [
         (24, (1, 3, 2, 4), (1, 2, 1.5, 1.5)),                # streamed, innermost 1
@@ -485,22 +506,22 @@ class TestNormPlanner:
         (16, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT, T4.5a
         (64, (1, 3, 2, 4), (INF, 2, 1.5, 1.5)),              # streamed, level 1 on k_1
         (32, (1, 2, 3, 4), (2, 2, 2, 2)),                    # streamed, all-2, no pair
+        (16, (6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)),  # streamed, T4.5b, y split
+        (24, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # streamed, T4.4b, one y shift
     ])
     def test_planned_bytes_bound_the_working_set(self, monkeypatch, n, image, exps):
-        # The plan holds the traced peak of the norm on this host's workers and at
-        # most half again.  A rank-2 norm streamed without a Moyal pair holds little
-        # beside its workers' blocks, so on two workers its peak swings from one
-        # block to two as they happen to overlap: there the upper side is checked on
-        # one worker.  An untraced call first makes the imports (numpy.fft's, the
-        # thread pool's) that outlive it.
+        # The plan holds the traced peak of the norm on this host's workers, and on
+        # one worker it holds that peak and at most half again.  On two workers the
+        # peak swings as their blocks happen to overlap or not, so the plan's lower
+        # side is checked on one worker; test_each_worker_adds_one_workers_term
+        # checks by arithmetic what each further worker adds.  An untraced call
+        # first makes the imports (numpy.fft's, the thread pool's) that outlive it.
         c, e = Permutation(image), ExponentVector(exps)
         obj = random_signal(n, len(image) // 2, np.random.default_rng(n)).grid
         window = periodized_gaussian(n)
-        full, _, v = _plan(n, c, e)[:3]
-        swings = len(image) == 4 and not full and not v
+        mixed_modulation_norm(obj, window, c, e)
 
         def peak():
-            mixed_modulation_norm(obj, window, c, e)
             tracing = tracemalloc.is_tracing()
             tracemalloc.start()
             try:
@@ -514,42 +535,111 @@ class TestNormPlanner:
 
         got = peak()
         assert got <= planned_bytes(n, c, e), (got, planned_bytes(n, c, e))
-        if swings:
-            monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 1)
-            got = peak()
-            assert got <= planned_bytes(n, c, e), (got, planned_bytes(n, c, e))
-        assert planned_bytes(n, c, e) <= 1.5 * got, (got, planned_bytes(n, c, e))
+        monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 1)
+        got = peak()
+        assert got <= planned_bytes(n, c, e) <= 1.5 * got, (got, planned_bytes(n, c, e))
+
+    @pytest.mark.parametrize("n,image,exps", [
+        (256, (1, 3, 2, 4), (2, 2, 1.5, 1.5)),               # T2.9: one group
+        (64, (2, 4, 1, 3), (2, 2, 2, 2)),                    # SHARP b1 at p = 2: 2 groups
+        (16, (2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),  # T3.2: 8 groups of xi
+        (16, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),  # T4.4b: y split
+        (64, (1, 3, 2, 4), (INF, 2, 1.5, 1.5)),              # level 1 on k_1: no first
+        (16, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT: one worker
+    ])
+    def test_each_worker_adds_one_workers_term(self, monkeypatch, n, image, exps):
+        # Each worker beyond the first adds its own group of w2's transform where
+        # w2's shifts are split and a group fits a block (16 bytes an entry), its
+        # block (24), its first contractions' results (48 bytes each, or 16 + 32 / n
+        # per absolute value without one) and numpy's iterator buffers, up to one
+        # worker per task.
+        # (Where R is large, as for T3.2 from n = 32, contracting R can outweigh
+        # the loop, and a worker adds less.)
+        c, e = Permutation(image), ExponentVector(exps)
+        sizes = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
+            sizes.append(planned_bytes(n, c, e))
+        full, u, v, (m, _), (wide, shifts, step, workers), _ = _plan(n, c, e)
+        slab = wide * n ** (2 * len(u) - 2 + len(v))
+        own = wide < n and slab <= 2 ** 17
+        term = (16 * own * slab + 24 * shifts * step * n ** (1 + len(v))
+                + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
+        groups = -(-n // (wide if own else shifts))
+        grown = [b - a for a, b in zip(sizes, sizes[1:])]
+        assert grown == [term + 2 ** 18 if cpus < groups else 0 for cpus in (1, 2)], (grown, term)
+        assert full == (grown == [0, 0])
+
+    def test_t44b_at_64_plans_under_one_gib(self):
+        # y's transform is taken one time shift at a time: 2 * 16 n^4 bytes with x's,
+        # not the 16 n^5 of every shift of x and y at once (17.5 GiB).
+        c, e = Permutation((6, 1, 4, 2, 5, 3)), ExponentVector((INF, 2, 2, 1.5, 1.5, 1))
+        assert planned_bytes(64, c, e) <= 2 ** 30
 
     def test_no_block_is_built_whole(self):
         # Every streamed plan builds a group in row blocks of at most 2^17 entries,
-        # or one row where a row is larger, whichever axis level 1 lies on: each
-        # rank-2 permutation at n = 64, all-2 and at drawn exponents, and 60
-        # rank-3 permutations at n = 16.
+        # or one row where a row is larger, whichever axis level 1 lies on, and
+        # takes w2's transform in groups of at most 2^17 entries, or one shift,
+        # unless one group of every shift holds less: each rank-2 permutation at
+        # n = 64, all-2 and at drawn exponents, and 60 rank-3 permutations at n = 16.
         rng = np.random.default_rng(30)
         cases = [(64, image, exps) for image in itertools.permutations(range(1, 5))
                  for exps in ((2.0,) * 4, tuple(rng.choice([1.0, 1.5, 2.0, 3.0, INF], 4)))]
         perms = list(itertools.permutations(range(1, 7)))
         cases += [(16, perms[i], tuple(rng.choice([1.0, 1.5, 2.0, 3.0, INF], 6)))
                   for i in rng.choice(len(perms), 60, replace=False)]
+        split = 0
         for n, image, exps in cases:
-            full, _, v, _, (shifts, step, _), _ = _plan(n, Permutation(image),
-                                                       ExponentVector(exps))
-            row = n ** (1 + len(v))
+            full, u, v, _, (wide, shifts, step, _), _ = _plan(n, Permutation(image),
+                                                              ExponentVector(exps))
+            row, shift = n ** (1 + len(v)), n ** (2 * len(u) - 2 + len(v))
             assert full or shifts * step * row <= max(2 ** 17, row), (n, image, exps)
+            assert wide == n or wide * shift <= max(2 ** 17, shift), (n, image, exps)
+            split += wide < n
+        assert split >= 60  # every rank-3 plan at n = 16 splits
 
-    @pytest.mark.parametrize("n", [9, 12, 20])
+    @pytest.mark.parametrize("n", [9, 12, 16, 20])
     @pytest.mark.parametrize("image,exps", [
-        ((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)),    # T3.2
+        _T32,
         ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),    # T4.4b
         ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)),  # T4.5b
         ((1, 4, 2, 3, 6, 5), (1.5, 1.5, 2, 2, 1, INF)),    # level 1 on k_1: absolute values
     ])
     def test_workers_keep_every_bit(self, monkeypatch, n, image, exps):
         # At these n most plans end on a ragged row block or group of shifts (at
-        # n = 12, T4.4b's 20,736 rows go in blocks of 10,922).  One worker and
-        # three give the same bits, and the full STFT agrees where it fits in memory.
-        # At n = 20 the full STFT alone takes 1 GiB.
+        # n = 12, T4.4b's y shifts go in two groups of 6 and a block holds one of
+        # the group's xi shifts).  One worker and three give the same bits, and the
+        # full STFT agrees where it fits in memory.  At n = 20 the full STFT alone
+        # takes 1 GiB.
         self._check_workers(monkeypatch, n, image, exps, oracle=n <= 12)
+
+    def test_workers_keep_every_bit_with_x_split(self, monkeypatch):
+        # From n = 23 T3.2 takes its x shifts in groups too: 4 to a group at n = 32.
+        c, e = Permutation(_T32[0]), ExponentVector(_T32[1])
+        assert _plan(32, c, e)[4][0] == 4
+        self._check_workers(monkeypatch, 32, *_T32, oracle=False)
+
+    @pytest.mark.parametrize("block", [2 ** 10, 2 ** 13])
+    def test_split_groups_match_full_stft(self, monkeypatch, block):
+        # Blocks this small split w2's shifts at n = 7-9 into groups of one shift,
+        # or of 2 or 3 (ragged at n = 7) for rank-3 plans without a Moyal pair at
+        # 2^13: T3.2, T4.4b and T4.5b on every window, and 40 sampled permutations.
+        monkeypatch.setattr("gaborlab.mixednorm.BLOCK", block)
+        rng = np.random.default_rng(block)
+        perms = list(itertools.permutations(range(1, 7)))
+        named = [_T32, ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)),
+                 ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1))]
+        cases = [(image, exps, window) for image, exps in named
+                 for window in ("delta", "gaussian", "random")]
+        cases += [(perms[i], tuple(rng.choice([1.0, 1.5, 2.0, 3.0, INF], 6)),
+                   ("delta", "gaussian", "random")[k % 3])
+                  for k, i in enumerate(rng.choice(len(perms), 40, replace=False))]
+        split = 0
+        for k, (image, exps, window) in enumerate(cases):
+            n = 7 + k % 3
+            split += _plan(n, Permutation(image), ExponentVector(exps))[4][0] < n
+            self._check((3, n, image, exps), window, "random", 1.0, k)
+        assert split >= len(cases) - (block > 2 ** 10) * 3  # T3.2 splits only at 2^10
 
     @pytest.mark.parametrize("image,exps", [
         ((1, 3, 2, 4), (2, 2, 1.5, 1.5)),    # T2.9
@@ -564,7 +654,7 @@ class TestNormPlanner:
         # one shift in two row blocks.
         c, e = Permutation(image), ExponentVector(exps)
         shifts = (32, 32) if exps[0] == 2 else (4, 1)
-        assert (_plan(32, c, e)[4][0], _plan(64, c, e)[4][0]) == shifts
+        assert (_plan(32, c, e)[4][1], _plan(64, c, e)[4][1]) == shifts
         self._check_workers(monkeypatch, 32, image, exps, oracle=True)
         self._check_workers(monkeypatch, 64, image, exps, oracle=False)
 
@@ -634,6 +724,17 @@ class TestNormPlanner:
             mixed_modulation_norm(f, tensor_window(g, rank), c, e)
         want = mixed_norm(stft(f, tensor_window(g, rank)), c, e)
         assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("image", [(1, 3, 2, 4), (1, 2, 3, 4)])  # streamed, full STFT
+    def test_overflow_raises_floating_point_error(self, image):
+        # Finite entries of 1e308 overflow the transform on either route; that is
+        # no fault of the input, so neither route says "entries must be finite".
+        n = 8
+        c, e = Permutation(image), ExponentVector((2, 2, 1.5, 1.5))
+        assert _plan(n, c, e)[0] == (image == (1, 2, 3, 4))
+        with pytest.raises(FloatingPointError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mixed_modulation_norm(np.full((n, n), 1e308), FiniteSignal(n, 1, np.ones(n)), c, e)
 
     def test_full_stft_keeps_its_bits(self):
         # Without an l^2 pair or a slab the norm is mixed_norm of stft, bit for bit.
