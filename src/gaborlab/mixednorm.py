@@ -22,20 +22,19 @@ paired, the norm is the closed form ||F|| ||g||^r, and one variable is still
 transformed so that this closed form checks the transform.  The time shifts of
 the transformed variable w whose time axis is contracted outermost are taken in
 groups, one slab per shift.  Where that holds fewer bytes, so are those of w2,
-the variable contracted next outermost: the transform is then built one group of
-w2's shifts (at most BLOCK entries, or one shift) at a time and is never held
-whole.  A group of w's shifts is built in row blocks of at most BLOCK entries
-(2 MiB of complex values), several shifts to a block where slabs are smaller, in
-buffers each task reuses.  A block keeps the absolute values of its rows,
-reduced at once by the l^2 collapse over t_v, or else by level 1 where that lies
-along the rows.  A group's rows are contracted in one call over the other levels
-inside the level of w2's time axis (w's, where w2's shifts are not split), and
-the results of every group, stacked, over the levels left.  One worker thread per
-CPU takes the groups of w2's shifts in turn, each built by the worker and taken
-at every shift of w; a group larger than a block is built once by the workers
-together, and they take the groups of w's shifts in turn, as they do where w2
-has one group.  There is no thread where there is one group.  The plan sets the
-groups, not the CPU count, so a norm has the same bits on any number of workers.
+the variable contracted next outermost: the calling thread then builds the
+transform one group of w2's shifts (at most BLOCK entries, or one shift) at a
+time, and it is never held whole.  A group of w's shifts is built in row blocks
+of at most BLOCK entries (2 MiB of complex values), several shifts to a block
+where slabs are smaller, in buffers each task reuses.  A block keeps the
+absolute values of its rows, reduced at once by the l^2 collapse over t_v, or
+else by level 1 where that lies along the rows.  A group's rows are contracted
+in one call over the other levels inside the level of w2's time axis (w's, where
+w2's shifts are not split), and the results of every group, stacked, over the
+levels left.  One worker thread per CPU takes the groups of w's shifts in turn,
+on each group of w2's shifts; there is no thread where there is one group.  The
+plan sets the groups, not the CPU count, so a norm has the same bits on any
+number of workers.
 A norm with no such v takes the full STFT, planned as one block of every shift,
 at rank 1 and at rank 2 when its n^4 entries fit in one block, where the full
 STFT is faster.
@@ -164,10 +163,12 @@ def lp_norm(a: np.ndarray, p: float, out=None):
     p = 2 sums plain squares, and retakes on the scaled path only the rows
     whose sum overflowed or fell below 1e-300, where underflow eats digits.
     `out`, an array of a's shape, takes the scaled array or the squares.
-    p = inf takes 4096 or more entries in rows shorter than 32 column by column,
-    which is faster there than numpy's row reduction and gives the same maxima."""
+    p = inf takes rows shorter than 32 column by column where there are at least
+    64 times as many rows as entries in a row: that gives the same maxima, and
+    there it is faster than numpy's row reduction, which each column's call
+    outweighs with fewer rows."""
     if p == INF:
-        if a.shape[-1] >= 32 or a.size < 2 ** 12:
+        if a.shape[-1] >= 32 or a.size < 64 * a.shape[-1] ** 2:
             return a.max(axis=-1, initial=0.0)
         peak = np.zeros(a.shape[:-1])
         for column in np.moveaxis(a, -1, 0):
@@ -244,13 +245,13 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     time shifts at a time (all n: one group) as (before, n, points): rows of (k, l)
     of each variable of u but w, then t_w, then t_v.  A group of w2's shifts holds
     at most BLOCK entries, or one shift, the groups as even as that allows, and
-    they are taken only where that plan prices below one group of every shift, as
-    the results they leave keep k_w2 and each axis contracted after it.  A slab is
-    one time shift of w; its first contraction (m, q) reduces the last m entries of
-    each row with exponent q: the l^2 collapse over t_v, else level 1 if it lies on
-    l_w, else none (m = 1).  A block holds `shifts` time shifts for `step` rows, at
-    most BLOCK entries or one row; `workers` threads take the groups of w2's shifts
-    where a group fits a block, else the groups of w's.
+    they are taken only where that plan prices below one group of every shift on
+    two workers, as the results they leave keep k_w2 and each axis contracted
+    after it.  A slab is one time shift of w; its first contraction (m, q) reduces
+    the last m entries of each row with exponent q: the l^2 collapse over t_v, else
+    level 1 if it lies on l_w, else none (m = 1).  A block holds `shifts` time
+    shifts for `step` rows, at most BLOCK entries or one row; `workers` threads
+    take the groups of w's shifts.
     levels = (shape, inner, at, order, outer): inner contracts a group's first
     contractions, its shifts on axis 0 and then axes of sizes `shape` (-1 for the
     group's k_w2), over the levels inside k_w2's (k_w's for one group); outer
@@ -285,7 +286,7 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     if len(u) > 1:
         shape[held.index(u[-2] + 1)] = -1  # the group's shifts of w2
 
-    def grouped(wide):  # the plan that takes w2's shifts `wide` at a time, on one worker
+    def grouped(wide):  # the plan that takes w2's shifts `wide` at a time, priced on two workers
         before = wide * line // (n * points)
         split = axes.index(u[-1 - (wide < n)] + 1)
         stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
@@ -298,7 +299,7 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
                      + [i for i, a in enumerate(stacked) if a == r + u[-1] + 1])
         return False, u, v, first, (
             wide, min(n, max(1, BLOCK // (wide * line))),
-            min(before, max(1, BLOCK // (n * points))), 1), (
+            min(before, max(1, BLOCK // (n * points))), 2), (
             tuple(shape), ([held.index(a) + 1 for a in axes[:split]], level_exps[:split]),
             stacked.index(u[-2] + 1) if wide < n else 0, order,
             ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
@@ -308,8 +309,7 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     if most < n:  # w2's shifts in groups, evened out, where that prices below one group
         full, u, v, first, (wide, shifts, step, _), levels = min(
             plan, grouped(-(-n // -(-n // most))), key=lambda plan: _price(n, plan))
-    tasks = -(-n // (wide if wide < n and wide * line <= BLOCK else shifts))
-    return full, u, v, first, (wide, shifts, step, min(tasks, _cpus())), levels
+    return full, u, v, first, (wide, shifts, step, min(-(-n // shifts), _cpus())), levels
 
 
 def _price(n: int, plan: tuple) -> int:
@@ -318,12 +318,11 @@ def _price(n: int, plan: tuple) -> int:
     points, line = n ** len(v), n ** (2 * len(u) - 2 + len(v))
     slab, split = wide * line, wide < n
     arr = line if split else slab
-    own = split and slab <= BLOCK  # each worker's group, else one shared group
     results = 0 if full else n ** len(levels[-1][0])
     per_entry = 32 if full and q not in (1.0, INF) else 24
-    worker = (16 * own * slab + per_entry * shifts * step * n * points
+    worker = (per_entry * shifts * step * n * points
               + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
-    loop = 16 * (split and not own) * slab + workers * worker + 8 * results
+    loop = 16 * split * slab + workers * worker + 8 * results
     return (max(16 * arr + max(16 * arr // n, loop), (16 * n + 32) * results // n)
             + 16 * n * n + workers * 2 ** 18)
 
@@ -335,8 +334,7 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     loop reads the transform of u but w, n such slabs at 16 bytes an entry, which
     the transform step before it held beside an nth of that.  Where w2's shifts
     are split, the loop holds the transform of u but w and w2 (one shift's
-    entries), and each worker its group's transform (one group shared by the
-    workers where it is larger than a block), both at 16 bytes an entry.
+    entries) and one group's transform, both at 16 bytes an entry.
     Each worker's block takes 24 bytes an entry, 16 for its values, which then
     hold the first contraction's temporaries, and 8 for their absolute values;
     and 48 bytes per result of its shifts' first contractions.  Without a first contraction its
@@ -353,7 +351,9 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
 
 def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray:
     """R: the results of every group of time shifts, stacked over k_w, and over
-    k_w2 where w2's shifts come in groups; the groups' arrays go with the call."""
+    k_w2 where w2's shifts come in groups; the groups' arrays go with the call.
+    The calling thread builds each group of w2's shifts, and the workers then
+    take it at their shares of w's shifts."""
     n, r = obj.n, obj.dim
     _, u, v, (m, q), (wide, shifts, step, workers), (shape, inner, at, order, outer) = plan
     points = n ** len(v)
@@ -361,37 +361,19 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
     arr = obj.grid.transpose(u + v)
     for i in range(len(u) - 1 - (wide < n)):  # u but w, and but w2 where its shifts are grouped
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
-    if wide < n:
+    size = shifts * step * n * points  # entries of one block
+    if wide < n:  # w2's groups are built in turn, into one array
         arr = np.ascontiguousarray(arr).reshape(-1, 1, n, n * points)
+        group = np.empty(wide * arr.size, complex)
     else:
         arr = arr.reshape(-1, n, points)
-    own = wide < n and wide * arr.size <= BLOCK  # each task builds its own group of w2's shifts
-    shared = np.empty(wide * arr.size, complex) if wide < n and not own else None
     stacked = np.empty((n,) * len(order)).transpose(np.argsort(order))
 
-    def build(k2, out, share=slice(None)):  # w2's group at k2, as stft_axis builds it
-        # A share of the rows of the prefix, or of the shifts where it has too few rows.
-        rows_of, shifts_of = (share, slice(None)) if len(arr) >= workers else (slice(None), share)
-        out = out[:arr.size * len(rows[k2:k2 + wide])].reshape(len(arr), -1, n, n * points)
-        part = out[rows_of, shifts_of]
-        np.multiply(arr[rows_of], rows[k2:k2 + wide][shifts_of, :, None], out=part)
-        np.fft.fft(part, axis=2, out=part)
-        return out.reshape(-1, n, points)
-
-    def slabs(k2, ks):  # w2's shifts k2, ..., k2 + wide - 1 at w's groups of shifts ks
-        # One allocation holds the task's own group and its block buffers, which it
-        # reuses for each block.  As three, they were mapped and faulted in anew
-        # each task: about 5,000 minor faults per T4.4b norm at n = 16, against 6.
-        size, held = shifts * step * n * points, wide * arr.size if own else 0
-        scratch = np.empty(2 * held + 3 * size)
-        buf = scratch[2 * held:2 * held + 2 * size].view(complex)
-        mag = scratch[2 * held + 2 * size:]
-        if wide == n:
-            part = arr
-        elif own:
-            part = build(k2, scratch[:2 * held].view(complex))
-        else:
-            part = shared[:arr.size * len(rows[k2:k2 + wide])].reshape(-1, n, points)
+    def slabs(part, k2, ks):  # w2's shifts k2, ..., k2 + wide - 1 at w's groups of shifts ks
+        # One allocation holds the task's block buffers, which it reuses for each
+        # block: new arrays for each block were mapped and faulted in anew.
+        scratch = np.empty(3 * size)
+        buf, mag = scratch[:2 * size].view(complex), scratch[2 * size:]
         region = (slice(None),) * at + (slice(k2, k2 + wide),) * (wide < n)  # in R
         for k in ks:
             shift = rows[k:k + shifts]
@@ -418,18 +400,16 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
         pool = ThreadPoolExecutor(workers)
     with pool:
         run = pool.map if workers > 1 else map
-
-        def each(task, calls):  # task(*call) for each call, on the workers or in this thread
-            list(run(lambda call: task(*call), calls))
-
-        if own:  # a task for each group of w2's shifts, at every shift of w
-            each(slabs, [(k2, range(0, n, shifts)) for k2 in range(0, n, wide)])
-        else:  # one group, or groups larger than a block, built once by the workers together
-            shares = [range(i * shifts, n, workers * shifts) for i in range(workers)]
-            for k2 in range(0, n, wide):
-                if shared is not None:
-                    each(build, [(k2, shared, slice(i, None, workers)) for i in range(workers)])
-                each(slabs, [(k2, ks) for ks in shares])
+        shares = [range(i * shifts, n, workers * shifts) for i in range(workers)]
+        for k2 in range(0, n, wide):
+            part = arr
+            if wide < n:  # w2's group at k2, as stft_axis builds it
+                shift = rows[k2:k2 + wide]
+                part = group[:arr.size * len(shift)].reshape(len(arr), len(shift), n, n * points)
+                np.multiply(arr, shift[:, :, None], out=part)
+                np.fft.fft(part, axis=2, out=part)
+                part = part.reshape(-1, n, points)
+            list(run(lambda ks: slabs(part, k2, ks), shares))
     return stacked
 
 
@@ -452,10 +432,8 @@ def mixed_modulation_norm(obj, window: FiniteSignal, c: Permutation,
         raise ValueError(f"permutation and exponents must have length {2 * r}")
     plan = _plan(n, c, exps)
     if plan[0]:
-        try:
-            norm = mixed_norm(stft(obj, window), c, exps)
-        except ValueError:  # the ranks agree, so an entry of the transform overflowed
-            norm = INF
+        transform = stft(obj, window)
+        norm = mixed_norm(transform, c, exps) if np.isfinite(transform).all() else INF
     else:
         norm = float(_contract(_stacked(obj, window, plan), *plan[-1][-1]))
         norm *= window.norm() ** len(plan[2])

@@ -443,7 +443,7 @@ class TestNormPlanner:
     # (prefix, group, block, first-contraction results, R, workers) of each streamed
     # plan at n = 12 on two CPUs.  With one group of w2's shifts the prefix is the
     # transform of every variable of u but w, and the loop reads it.  T4.4b and
-    # T4.5b split y's 12 shifts in two groups of 6, each worker's 6 * 12^4 entries
+    # T4.5b split y's 12 shifts in two groups of 6, one group's 6 * 12^4 entries
     # beside x's 12^4; a block then holds one shift of the group's 10,368 rows, and
     # R holds 12^3 results.  A slab smaller than a block shares it with other shifts.
     _T44B = (12 ** 4, 6 * 12 ** 4, 10368 * 12, 10368, 12 ** 3, 2)
@@ -483,7 +483,7 @@ class TestNormPlanner:
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
         if (image, exps) in self._STREAMED:  # the transforms, each worker's block and results, R
             prefix, group, block, firsts, stacked, workers = self._STREAMED[image, exps]
-            want = (16 * prefix + workers * (16 * group + 24 * block + 48 * firsts + 2 ** 18)
+            want = (16 * (prefix + group) + workers * (24 * block + 48 * firsts + 2 ** 18)
                     + 8 * stacked)
         else:  # the full STFT: the one block of every shift, and the array it is cut from
             want = per_entry * 12 ** power + 64 * 12 ** (power - 1) + 2 ** 18
@@ -548,11 +548,10 @@ class TestNormPlanner:
         (16, (4, 1, 2, 3), (1.5, 1.5, 1.5, 2)),              # full STFT: one worker
     ])
     def test_each_worker_adds_one_workers_term(self, monkeypatch, n, image, exps):
-        # Each worker beyond the first adds its own group of w2's transform where
-        # w2's shifts are split and a group fits a block (16 bytes an entry), its
-        # block (24), its first contractions' results (48 bytes each, or 16 + 32 / n
-        # per absolute value without one) and numpy's iterator buffers, up to one
-        # worker per task.
+        # Each worker beyond the first adds its block (24 bytes an entry), its
+        # first contractions' results (48 bytes each, or 16 + 32 / n per absolute
+        # value without one) and numpy's iterator buffers, up to one worker per
+        # group of w's shifts; a group of w2's shifts is held once, by the plan.
         # (Where R is large, as for T3.2 from n = 32, contracting R can outweigh
         # the loop, and a worker adds less.)
         c, e = Permutation(image), ExponentVector(exps)
@@ -562,10 +561,9 @@ class TestNormPlanner:
             sizes.append(planned_bytes(n, c, e))
         full, u, v, (m, _), (wide, shifts, step, workers), _ = _plan(n, c, e)
         slab = wide * n ** (2 * len(u) - 2 + len(v))
-        own = wide < n and slab <= 2 ** 17
-        term = (16 * own * slab + 24 * shifts * step * n ** (1 + len(v))
+        term = (24 * shifts * step * n ** (1 + len(v))
                 + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
-        groups = -(-n // (wide if own else shifts))
+        groups = -(-n // shifts)
         grown = [b - a for a, b in zip(sizes, sizes[1:])]
         assert grown == [term + 2 ** 18 if cpus < groups else 0 for cpus in (1, 2)], (grown, term)
         assert full == (grown == [0, 0])
@@ -575,6 +573,20 @@ class TestNormPlanner:
         # not the 16 n^5 of every shift of x and y at once (17.5 GiB).
         c, e = Permutation((6, 1, 4, 2, 5, 3)), ExponentVector((INF, 2, 2, 1.5, 1.5, 1))
         assert planned_bytes(64, c, e) <= 2 ** 30
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_t45a_at_64_holds_one_group_on_any_workers(self, monkeypatch, cpus):
+        # T4.5a splits x's 64 shifts in two groups of 32, as that prices below one
+        # group of every shift on two workers.  The calling thread builds each
+        # group, so the plan holds one group of 2^17 entries beside y's 64^2 on
+        # any number of workers, and each worker adds only its block of 2048 rows,
+        # their 2048 level-1 results and its iterator buffers; R holds 64^3 floats.
+        monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
+        c, e = Permutation((4, 1, 2, 3)), ExponentVector((2, 1.5, 1.5, 1.5))
+        assert _plan(64, c, e)[4] == (32, 1, 2048, cpus)
+        want = (16 * (64 ** 2 + 32 * 64 ** 2) + cpus * (24 * 2 ** 17 + 48 * 2048 + 2 ** 18)
+                + 8 * 64 ** 3 + 16 * 64 ** 2)
+        assert planned_bytes(64, c, e) == want
 
     def test_no_block_is_built_whole(self):
         # Every streamed plan builds a group in row blocks of at most 2^17 entries,
