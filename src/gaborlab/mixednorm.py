@@ -24,17 +24,18 @@ the transformed variable w whose time axis is contracted outermost are taken in
 groups, one slab per shift.  Where that holds fewer bytes, so are those of w2,
 the variable contracted next outermost: the calling thread then builds the
 transform one group of w2's shifts (at most BLOCK entries, or one shift) at a
-time, and it is never held whole.  A group of w's shifts is built in row blocks
-of at most BLOCK entries (2 MiB of complex values), several shifts to a block
-where slabs are smaller, in buffers each task reuses.  A block keeps the
-absolute values of its rows, reduced at once by the l^2 collapse over t_v, or
-else by level 1 where that lies along the rows.  A group's rows are contracted
-in one call over the other levels inside the level of w2's time axis (w's, where
-w2's shifts are not split), and the results of every group, stacked, over the
-levels left.  One worker thread per CPU takes the groups of w's shifts in turn,
-on each group of w2's shifts; there is no thread where there is one group.  The
-plan sets the groups, not the CPU count, so a norm has the same bits on any
-number of workers.
+time, into two arrays in turn, and it is never held whole.  A group of w's
+shifts is built in row blocks of at most BLOCK entries (2 MiB of complex
+values), several shifts to a block where slabs are smaller, in buffers each
+task reuses.  A block keeps the absolute values of its rows, reduced at once by
+the l^2 collapse over t_v, or else by level 1 where that lies along the rows.
+A group's rows are contracted in one call over the other levels inside the
+level of w2's time axis (w's, where w2's shifts are not split), and the results
+of every group, stacked, over the levels left.  One worker thread per CPU takes
+the groups of w's shifts in turn, on one group of w2's shifts while the calling
+thread builds the next; there is no thread where there is one group of w's
+shifts.  The plan sets the groups, not the CPU count, so a norm has the same
+bits on any number of workers.
 A norm with no such v takes the full STFT, planned as one block of every shift,
 at rank 1 and at rank 2 when its n^4 entries fit in one block, where the full
 STFT is faster.
@@ -49,7 +50,7 @@ import operator
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -322,7 +323,7 @@ def _price(n: int, plan: tuple) -> int:
     per_entry = 32 if full and q not in (1.0, INF) else 24
     worker = (per_entry * shifts * step * n * points
               + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
-    loop = 16 * split * slab + workers * worker + 8 * results
+    loop = 32 * split * slab + workers * worker + 8 * results
     return (max(16 * arr + max(16 * arr // n, loop), (16 * n + 32) * results // n)
             + 16 * n * n + workers * 2 ** 18)
 
@@ -334,7 +335,7 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     loop reads the transform of u but w, n such slabs at 16 bytes an entry, which
     the transform step before it held beside an nth of that.  Where w2's shifts
     are split, the loop holds the transform of u but w and w2 (one shift's
-    entries) and one group's transform, both at 16 bytes an entry.
+    entries) and two arrays of a group's transform, all at 16 bytes an entry.
     Each worker's block takes 24 bytes an entry, 16 for its values, which then
     hold the first contraction's temporaries, and 8 for their absolute values;
     and 48 bytes per result of its shifts' first contractions.  Without a first contraction its
@@ -353,7 +354,7 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
     """R: the results of every group of time shifts, stacked over k_w, and over
     k_w2 where w2's shifts come in groups; the groups' arrays go with the call.
     The calling thread builds each group of w2's shifts, and the workers then
-    take it at their shares of w's shifts."""
+    take it at their shares of w's shifts while it builds the next."""
     n, r = obj.n, obj.dim
     _, u, v, (m, q), (wide, shifts, step, workers), (shape, inner, at, order, outer) = plan
     points = n ** len(v)
@@ -362,16 +363,16 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
     for i in range(len(u) - 1 - (wide < n)):  # u but w, and but w2 where its shifts are grouped
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
     size = shifts * step * n * points  # entries of one block
-    if wide < n:  # w2's groups are built in turn, into one array
+    if wide < n:  # w2's groups are built in turn, into two arrays
         arr = np.ascontiguousarray(arr).reshape(-1, 1, n, n * points)
-        group = np.empty(wide * arr.size, complex)
+        groups = np.empty((2, wide * arr.size), complex)
     else:
         arr = arr.reshape(-1, n, points)
     stacked = np.empty((n,) * len(order)).transpose(np.argsort(order))
 
     def slabs(part, k2, ks):  # w2's shifts k2, ..., k2 + wide - 1 at w's groups of shifts ks
         # One allocation holds the task's block buffers, which it reuses for each
-        # block: new arrays for each block were mapped and faulted in anew.
+        # block, so that no block maps and faults in new memory.
         scratch = np.empty(3 * size)
         buf, mag = scratch[:2 * size].view(complex), scratch[2 * size:]
         region = (slice(None),) * at + (slice(k2, k2 + wide),) * (wide < n)  # in R
@@ -401,15 +402,22 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
     with pool:
         run = pool.map if workers > 1 else map
         shares = [range(i * shifts, n, workers * shifts) for i in range(workers)]
-        for k2 in range(0, n, wide):
+        # Two arrays take the groups in turn: the workers take one group while
+        # this thread builds the next, and none waits for the others between them.
+        taken = [(), ()]  # the tasks on each array
+        for g, k2 in enumerate(range(0, n, wide)):
+            list(taken[g % 2])  # done with the group two before, whose array this one takes
             part = arr
             if wide < n:  # w2's group at k2, as stft_axis builds it
                 shift = rows[k2:k2 + wide]
-                part = group[:arr.size * len(shift)].reshape(len(arr), len(shift), n, n * points)
+                part = groups[g % 2][:arr.size * len(shift)].reshape(
+                    len(arr), len(shift), n, n * points)
                 np.multiply(arr, shift[:, :, None], out=part)
                 np.fft.fft(part, axis=2, out=part)
                 part = part.reshape(-1, n, points)
-            list(run(lambda ks: slabs(part, k2, ks), shares))
+            taken[g % 2] = run(partial(slabs, part, k2), shares)
+        for tasks in taken:
+            list(tasks)
     return stacked
 
 

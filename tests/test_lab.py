@@ -360,10 +360,10 @@ class TestMemoryGuard:
                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
-        # T4.4b's streamed rule holds x's n^4 transform, y's at one time shift and
-        # n^3 results; each of two workers holds a 2^17-entry block, its absolute
-        # values, n^3 level-1 maxima and numpy's iterator buffers.
-        need = (16 * (512 ** 4 + 512 ** 4) + 2 * (24 * 2 ** 17 + 48 * 512 ** 3 + 2 ** 18)
+        # T4.4b's streamed rule holds x's n^4 transform, y's at one time shift in
+        # two arrays and n^3 results; each of two workers holds a 2^17-entry block,
+        # its absolute values, n^3 level-1 maxima and numpy's iterator buffers.
+        need = (16 * (512 ** 4 + 2 * 512 ** 4) + 2 * (24 * 2 ** 17 + 48 * 512 ** 3 + 2 ** 18)
                 + 8 * 512 ** 3 + 16 * 512 ** 2)
         assert "n = 512" in err and str(need) in err
         assert not out.exists()

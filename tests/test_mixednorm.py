@@ -443,8 +443,8 @@ class TestNormPlanner:
     # (prefix, group, block, first-contraction results, R, workers) of each streamed
     # plan at n = 12 on two CPUs.  With one group of w2's shifts the prefix is the
     # transform of every variable of u but w, and the loop reads it.  T4.4b and
-    # T4.5b split y's 12 shifts in two groups of 6, one group's 6 * 12^4 entries
-    # beside x's 12^4; a block then holds one shift of the group's 10,368 rows, and
+    # T4.5b split y's 12 shifts in two groups of 6, two arrays of a group's 6 * 12^4
+    # entries beside x's 12^4; a block then holds one shift of the group's 10,368 rows, and
     # R holds 12^3 results.  A slab smaller than a block shares it with other shifts.
     _T44B = (12 ** 4, 6 * 12 ** 4, 10368 * 12, 10368, 12 ** 3, 2)
     _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (12 ** 4, 0, 6 * 12 ** 4,
@@ -483,7 +483,7 @@ class TestNormPlanner:
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
         if (image, exps) in self._STREAMED:  # the transforms, each worker's block and results, R
             prefix, group, block, firsts, stacked, workers = self._STREAMED[image, exps]
-            want = (16 * (prefix + group) + workers * (24 * block + 48 * firsts + 2 ** 18)
+            want = (16 * (prefix + 2 * group) + workers * (24 * block + 48 * firsts + 2 ** 18)
                     + 8 * stacked)
         else:  # the full STFT: the one block of every shift, and the array it is cut from
             want = per_entry * 12 ** power + 64 * 12 ** (power - 1) + 2 ** 18
@@ -551,7 +551,7 @@ class TestNormPlanner:
         # Each worker beyond the first adds its block (24 bytes an entry), its
         # first contractions' results (48 bytes each, or 16 + 32 / n per absolute
         # value without one) and numpy's iterator buffers, up to one worker per
-        # group of w's shifts; a group of w2's shifts is held once, by the plan.
+        # group of w's shifts; the two arrays of w2's groups are held once.
         # (Where R is large, as for T3.2 from n = 32, contracting R can outweigh
         # the loop, and a worker adds less.)
         c, e = Permutation(image), ExponentVector(exps)
@@ -569,23 +569,22 @@ class TestNormPlanner:
         assert full == (grown == [0, 0])
 
     def test_t44b_at_64_plans_under_one_gib(self):
-        # y's transform is taken one time shift at a time: 2 * 16 n^4 bytes with x's,
-        # not the 16 n^5 of every shift of x and y at once (17.5 GiB).
+        # y's transform is taken one time shift at a time, in two arrays: 3 * 16 n^4
+        # bytes with x's, not the 16 n^5 of every shift of x and y at once (17.5 GiB).
         c, e = Permutation((6, 1, 4, 2, 5, 3)), ExponentVector((INF, 2, 2, 1.5, 1.5, 1))
         assert planned_bytes(64, c, e) <= 2 ** 30
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_t45a_at_64_holds_one_group_on_any_workers(self, monkeypatch, cpus):
-        # T4.5a splits x's 64 shifts in two groups of 32, as that prices below one
-        # group of every shift on two workers.  The calling thread builds each
-        # group, so the plan holds one group of 2^17 entries beside y's 64^2 on
-        # any number of workers, and each worker adds only its block of 2048 rows,
-        # their 2048 level-1 results and its iterator buffers; R holds 64^3 floats.
+    def test_t45a_at_64_keeps_one_group_on_any_workers(self, monkeypatch, cpus):
+        # T4.5a keeps x's 64 shifts in one group at n = 64: two arrays of 32
+        # shifts each would price above it on two workers (13.4 against 11.5 MB).
+        # Each worker adds only its block of 2048 rows, their 64^2 level-1 results
+        # and its iterator buffers, beside the 64^3 transform and R's 64^2 floats.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
         c, e = Permutation((4, 1, 2, 3)), ExponentVector((2, 1.5, 1.5, 1.5))
-        assert _plan(64, c, e)[4] == (32, 1, 2048, cpus)
-        want = (16 * (64 ** 2 + 32 * 64 ** 2) + cpus * (24 * 2 ** 17 + 48 * 2048 + 2 ** 18)
-                + 8 * 64 ** 3 + 16 * 64 ** 2)
+        assert _plan(64, c, e)[4] == (64, 1, 2048, cpus)
+        want = (16 * 64 ** 3 + cpus * (24 * 2 ** 17 + 48 * 64 ** 2 + 2 ** 18) + 8 * 64 ** 2
+                + 16 * 64 ** 2)
         assert planned_bytes(64, c, e) == want
 
     def test_no_block_is_built_whole(self):
