@@ -19,23 +19,24 @@ planned_bytes prices that plan.  By Moyal's identity, an l^2 sum over both axes
 their untransformed points t_v, so those variables are never transformed.  v
 stops one variable short of all of them: at all-2 exponents with every level
 paired, the norm is the closed form ||F|| ||g||^r, and one variable is still
-transformed so that this closed form checks the transform.  The time shifts of
-the transformed variable w whose time axis is contracted outermost are taken in
-groups, one slab per shift.  Where that holds fewer bytes, so are those of w2,
-the variable contracted next outermost: the calling thread then builds the
-transform one group of w2's shifts (at most BLOCK entries, or one shift) at a
-time, into two arrays in turn, and it is never held whole.  A group of w's
-shifts is built in row blocks of at most BLOCK entries (2 MiB of complex
-values), several shifts to a block where slabs are smaller, in buffers each
-task reuses.  A block keeps the absolute values of its rows, reduced at once by
-the l^2 collapse over t_v, or else by level 1 where that lies along the rows.
-A group's rows are contracted in one call over the other levels inside the
-level of w2's time axis (w's, where w2's shifts are not split), and the results
-of every group, stacked, over the levels left.  One worker thread per CPU takes
-the groups of w's shifts in turn, on one group of w2's shifts while the calling
-thread builds the next; there is no thread where there is one group of w's
-shifts.  The plan sets the groups, not the CPU count, so a norm has the same
-bits on any number of workers.
+transformed so that this closed form checks the transform.  The transformed
+variables u are ordered by the levels of their time axes: w, the last, is
+contracted outermost, and w2 next.  signals.stft_axis transforms each of them
+once, piece by piece: the prefix, every variable of u but w and w2; w2 one group
+of its time shifts at a time, built by the calling thread into one array, or into
+two in turn where there are two groups or more; and w in row blocks of at most
+BLOCK entries (2 MiB of complex values), several shifts to a block where a shift
+is smaller, in buffers each task reuses.  w2's shifts go in one group unless
+groups of at most BLOCK entries, or one shift, hold fewer bytes.  A block keeps
+the absolute values of its rows, reduced at once by the l^2 collapse over t_v,
+or else by level 1 where that lies along the rows.  A group's rows are
+contracted in one call over the other levels inside the level of w2's time axis
+(w's, where w2's shifts are in one group), and R, the results of every group
+stacked, over the levels left.  One worker thread per CPU takes the groups of
+w's shifts in turn, on one group of w2's shifts while the calling thread builds
+the next; there is no thread where there is one group of w's shifts.  The plan
+sets the groups, not the CPU count, so a norm has the same bits on any number of
+workers.
 A norm with no such v takes the full STFT, planned as one block of every shift,
 at rank 1 and at rank 2 when its n^4 entries fit in one block, where the full
 STFT is faster.
@@ -242,25 +243,26 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
     v is the largest set of fewer than r variables whose time and frequency axes
     fill the innermost 2|v| levels, all with exponent 2; u holds the others, at least
     one, in the order of the levels of their time axes: w = u[-1], w2 = u[-2].
-    blocks = (wide, shifts, step, workers).  The loop reads w2's transform `wide`
-    time shifts at a time (all n: one group) as (before, n, points): rows of (k, l)
-    of each variable of u but w, then t_w, then t_v.  A group of w2's shifts holds
-    at most BLOCK entries, or one shift, the groups as even as that allows, and
-    they are taken only where that plan prices below one group of every shift on
-    two workers, as the results they leave keep k_w2 and each axis contracted
-    after it.  A slab is one time shift of w; its first contraction (m, q) reduces
-    the last m entries of each row with exponent q: the l^2 collapse over t_v, else
-    level 1 if it lies on l_w, else none (m = 1).  A block holds `shifts` time
-    shifts for `step` rows, at most BLOCK entries or one row; `workers` threads
-    take the groups of w's shifts.
-    levels = (shape, inner, at, order, outer): inner contracts a group's first
+    blocks = (wide, shifts, step, workers).  The loop builds w2's transform `wide`
+    time shifts at a time, a group, and reads it as (before, n, points): rows of
+    (k, l) of each variable of u but w, then t_w, then t_v.  A group holds at most
+    BLOCK entries, or one shift, the groups as even as that allows, and they are
+    taken only where that plan prices below one group of every shift on two
+    workers, as the results they leave keep k_w2 and each axis contracted after
+    it.  A one-group plan (wide = n) is the same loop with one group.  A slab is
+    one time shift of w; its first contraction (m, q) reduces the last m entries
+    of each row with exponent q: the l^2 collapse over t_v, else level 1 if it lies
+    on l_w, else none (m = 1).  A block holds `shifts` time shifts for `step` rows,
+    at most BLOCK entries or one row; `workers` threads take the groups of w's
+    shifts.
+    levels = (shape, inner, at, outer): inner contracts a group's first
     contractions, its shifts on axis 0 and then axes of sizes `shape` (-1 for the
-    group's k_w2), over the levels inside k_w2's (k_w's for one group); outer
-    contracts R, the results stacked over k_w, and over k_w2 at axis `at` where w2
-    is split (else at is 0), laid out with its axes `order` in memory.  A full plan
-    (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries) takes the
-    full STFT as one block of every shift, its first contraction level 1, and has
-    no levels."""
+    group's k_w2), over the levels inside k_w2's (k_w's with one group); outer
+    contracts R, one C-ordered array of the results stacked over k_w, and over
+    k_w2 at axis `at` where there are two groups or more (with one, at is 0).  A
+    full plan (v empty, and rank 1 or a rank-2 transform of at most BLOCK entries)
+    takes the full STFT as one block of every shift, its first contraction level 1,
+    and has no levels."""
     r = len(c) // 2
     v, seen = [], set()
     for level, (axis, p) in enumerate(zip(c.image, exps), start=1):
@@ -291,18 +293,11 @@ def _plan(n: int, c: Permutation, exps: ExponentVector) -> tuple:
         before = wide * line // (n * points)
         split = axes.index(u[-1 - (wide < n)] + 1)
         stacked = [u[-1] + 1] + [a for a in held if a not in axes[:split]]
-        # R's axes in memory.  With one group: the rows' axes, then k_w, then l_w,
-        # the layout of a group's results that joining them kept before w2's shifts
-        # could be split; the sums over R follow it, so it keeps their bits.
-        order = list(range(len(stacked)))
-        if wide == n:
-            order = ([i for i, a in enumerate(stacked) if i and a != r + u[-1] + 1] + [0]
-                     + [i for i, a in enumerate(stacked) if a == r + u[-1] + 1])
         return False, u, v, first, (
             wide, min(n, max(1, BLOCK // (wide * line))),
             min(before, max(1, BLOCK // (n * points))), 2), (
             tuple(shape), ([held.index(a) + 1 for a in axes[:split]], level_exps[:split]),
-            stacked.index(u[-2] + 1) if wide < n else 0, order,
+            stacked.index(u[-2] + 1) if wide < n else 0,
             ([stacked.index(a) for a in axes[split:]], level_exps[split:]))
 
     full, u, v, first, (wide, shifts, step, _), levels = plan = grouped(n)
@@ -317,34 +312,31 @@ def _price(n: int, plan: tuple) -> int:
     """planned_bytes of a plan."""
     full, u, v, (m, q), (wide, shifts, step, workers), levels = plan
     points, line = n ** len(v), n ** (2 * len(u) - 2 + len(v))
-    slab, split = wide * line, wide < n
-    arr = line if split else slab
+    slab = wide * line
     results = 0 if full else n ** len(levels[-1][0])
     per_entry = 32 if full and q not in (1.0, INF) else 24
     worker = (per_entry * shifts * step * n * points
               + (48 * n if m > 1 else 16 * n + 32) * shifts * slab // (m * n))
-    loop = 32 * split * slab + workers * worker + 8 * results
-    return (max(16 * arr + max(16 * arr // n, loop), (16 * n + 32) * results // n)
-            + 16 * n * n + workers * 2 ** 18)
+    loop = 16 * (line + min(2, -(-n // wide)) * slab) + workers * worker + 8 * results
+    return max(loop, (16 * n + 32) * results // n) + 16 * n * n + workers * 2 ** 18
 
 
 def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
     """Bytes mixed_modulation_norm holds at once for an object on Z_n of rank
-    len(c) / 2, read from its plan.  One time shift of w2 has n^(2|u|-2) n^|v|
-    entries, and a slab of w `wide` times that.  With one group of w2's shifts the
-    loop reads the transform of u but w, n such slabs at 16 bytes an entry, which
-    the transform step before it held beside an nth of that.  Where w2's shifts
-    are split, the loop holds the transform of u but w and w2 (one shift's
-    entries) and two arrays of a group's transform, all at 16 bytes an entry.
-    Each worker's block takes 24 bytes an entry, 16 for its values, which then
-    hold the first contraction's temporaries, and 8 for their absolute values;
-    and 48 bytes per result of its shifts' first contractions.  Without a first contraction its
+    len(c) / 2, read from its plan.  The prefix has n^(2|u|-2) n^|v| entries, as
+    many as one time shift of w2's transform, and a group of w2's shifts `wide`
+    times that.  The loop holds the prefix beside one array of a group, or two
+    where there are two groups or more, at 16 bytes an entry.  Each worker's block
+    takes 24 bytes an entry, 16 for its values, which then hold the first
+    contraction's temporaries, and 8 for their absolute values; and 48 bytes per
+    result of its shifts' first contractions.  Without a first contraction its
     absolute values, and in any plan R, the stacked results, take 8 bytes an
     entry, and contracting either (R once the loop's arrays are freed) takes a
-    scaled copy and four arrays an nth of its size.  The full STFT is its one
-    block of every shift, 8 bytes an entry more for level 1's temporaries at an
-    exponent q other than 1 or inf, and the array its last transform step reads.
-    The n x n shifted windows and, for each worker, 256 KiB of numpy's iterator
+    scaled copy and four arrays an nth of its size.  The full STFT is priced in
+    the same way: its last transform step reads one group of every shift, beside
+    the array before it, and it is its one block of every shift, 8 bytes an entry
+    more for level 1's temporaries at an exponent q other than 1 or inf.  The
+    n x n shifted windows and, for each worker, 256 KiB of numpy's iterator
     buffers, 8192 entries of each operand of a broadcast complex product, cover
     the rest."""
     return _price(n, _plan(n, c, exps))
@@ -352,30 +344,29 @@ def planned_bytes(n: int, c: Permutation, exps: ExponentVector) -> int:
 
 def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray:
     """R: the results of every group of time shifts, stacked over k_w, and over
-    k_w2 where w2's shifts come in groups; the groups' arrays go with the call.
-    The calling thread builds each group of w2's shifts, and the workers then
-    take it at their shares of w's shifts while it builds the next."""
+    k_w2 where w2's shifts come in two groups or more; the prefix and the groups'
+    arrays go with the call.  The calling thread builds each group of w2's
+    shifts, and the workers then take it at their shares of w's shifts while it
+    builds the next."""
     n, r = obj.n, obj.dim
-    _, u, v, (m, q), (wide, shifts, step, workers), (shape, inner, at, order, outer) = plan
+    _, u, v, (m, q), (wide, shifts, step, workers), (shape, inner, at, outer) = plan
     points = n ** len(v)
     rows = shifted_window(window) * n ** -0.5
-    arr = obj.grid.transpose(u + v)
-    for i in range(len(u) - 1 - (wide < n)):  # u but w, and but w2 where its shifts are grouped
+    arr = np.ascontiguousarray(obj.grid.transpose(u + v))
+    for i in range(len(u) - 2):  # u but w and w2
         arr = stft_axis(arr, rows, n ** (2 * i), n ** (r - i - 1))
+    if len(u) > 1:  # w2's groups are built in turn, into two arrays where there are two
+        groups = np.empty((min(2, -(-n // wide)), wide * arr.size), complex)
     size = shifts * step * n * points  # entries of one block
-    if wide < n:  # w2's groups are built in turn, into two arrays
-        arr = np.ascontiguousarray(arr).reshape(-1, 1, n, n * points)
-        groups = np.empty((2, wide * arr.size), complex)
-    else:
-        arr = arr.reshape(-1, n, points)
-    stacked = np.empty((n,) * len(order)).transpose(np.argsort(order))
+    stacked = np.empty((n,) * len(outer[0]))
 
     def slabs(part, k2, ks):  # w2's shifts k2, ..., k2 + wide - 1 at w's groups of shifts ks
         # One allocation holds the task's block buffers, which it reuses for each
         # block, so that no block maps and faults in new memory.
         scratch = np.empty(3 * size)
         buf, mag = scratch[:2 * size].view(complex), scratch[2 * size:]
-        region = (slice(None),) * at + (slice(k2, k2 + wide),) * (wide < n)  # in R
+        # The group's part of R: its shifts of w2 on axis `at`, or all of axis 0 with one group.
+        region = (slice(None),) * at + (slice(k2, k2 + wide),)
         for k in ks:
             shift = rows[k:k + shifts]
             # Rows before shifts in memory, as the sums' order follows the layout.
@@ -384,8 +375,7 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
                 rows_in = part[lo:lo + step]
                 out = buf[:len(rows_in) * len(shift) * n * points].reshape(
                     len(rows_in), len(shift), n, points)
-                np.multiply(rows_in[:, None], shift[:, :, None], out=out)
-                np.fft.fft(out, axis=2, out=out)
+                out = stft_axis(rows_in, shift, len(rows_in), points, out=out)
                 block = np.abs(out, out=mag[:out.size].reshape(out.shape)).reshape(
                     len(rows_in), len(shift), -1, m)
                 # The values are spent: their buffer takes the contraction's temporaries.
@@ -408,14 +398,11 @@ def _stacked(obj: FiniteSignal, window: FiniteSignal, plan: tuple) -> np.ndarray
         for g, k2 in enumerate(range(0, n, wide)):
             list(taken[g % 2])  # done with the group two before, whose array this one takes
             part = arr
-            if wide < n:  # w2's group at k2, as stft_axis builds it
+            if len(u) > 1:  # w2's transform at its shifts k2, ..., k2 + wide - 1
                 shift = rows[k2:k2 + wide]
-                part = groups[g % 2][:arr.size * len(shift)].reshape(
-                    len(arr), len(shift), n, n * points)
-                np.multiply(arr, shift[:, :, None], out=part)
-                np.fft.fft(part, axis=2, out=part)
-                part = part.reshape(-1, n, points)
-            taken[g % 2] = run(partial(slabs, part, k2), shares)
+                part = groups[g % 2][:len(shift) * arr.size].reshape(-1, len(shift), n, n * points)
+                part = stft_axis(arr, shift, len(part), n * points, out=part)
+            taken[g % 2] = run(partial(slabs, part.reshape(-1, n, points), k2), shares)
         for tasks in taken:
             list(tasks)
     return stacked

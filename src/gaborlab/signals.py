@@ -107,15 +107,19 @@ def shifted_window(g: FiniteSignal, a: int = 1) -> np.ndarray:
 
 
 def stft_axis(arr: np.ndarray, rows: np.ndarray, before: int, after: int,
-              b: int = 1) -> np.ndarray:
+              b: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """One variable's STFT at the frequencies bZ_n.  `arr` holds before * n *
     after entries, its middle axis a time axis t; `rows` is a (K, n) table of
     shifted windows.  Returns the (before, K, n/b, after) array V[., k, l, .] =
-    sum_t arr[., t, .] rows[k, t] e^(-2 pi i b l t / n), t folded with period n/b."""
+    sum_t arr[., t, .] rows[k, t] e^(-2 pi i b l t / n), t folded with period n/b,
+    written into `out`, a complex array of that shape, where one is given."""
     n = rows.shape[1]
-    out = arr.reshape(before, 1, n, after) * rows[:, :, None]
+    arr = arr.reshape(before, 1, n, after)
     if b > 1:
-        out = out.reshape(before, len(rows), b, n // b, after).sum(axis=2)
+        out = np.sum((arr * rows[:, :, None]).reshape(before, len(rows), b, n // b, after),
+                     axis=2, out=out)
+    else:
+        out = np.multiply(arr, rows[:, :, None], out=out)
     np.fft.fft(out, axis=2, out=out)
     return out
 

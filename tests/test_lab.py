@@ -373,7 +373,7 @@ class TestMemoryGuard:
         # the other: slabs of n^2 entries, 32 shifts to a 2^17-entry block on
         # each of two workers, 24 bytes an entry, and n^2 results.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: 2)
-        need = (16 * 64 ** 2 + 2 * (24 * 2 ** 17 + 48 * 32 * 64 + 2 ** 18) + 8 * 64 ** 2
+        need = (16 * (64 + 64 ** 2) + 2 * (24 * 2 ** 17 + 48 * 32 * 64 + 2 ** 18) + 8 * 64 ** 2
                 + 16 * 64 ** 2)
         monkeypatch.setattr(lab, "_available_bytes", lambda: need)
         cfg = ExperimentConfig(theorem_id="SHARP-T4.3", n_values=(64, 128), trials=1)

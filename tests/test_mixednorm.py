@@ -28,7 +28,8 @@ from gaborlab.mixednorm import (
     planned_bytes,
     tensor_window,
 )
-from gaborlab.signals import FiniteSignal, delta, periodized_gaussian, random_signal, stft
+from gaborlab.signals import (FiniteSignal, delta, periodized_gaussian, random_signal, stft,
+                              stft_axis)
 
 INF = math.inf
 
@@ -440,22 +441,25 @@ class TestNormPlanner:
     # The full STFT lives on beside its absolute values and takes 8 more for
     # level 1's temporaries, but not where that level is a plain max or sum.
     _NO_TEMPS = {((1, 2), (INF, 1))}
-    # (prefix, group, block, first-contraction results, R, workers) of each streamed
-    # plan at n = 12 on two CPUs.  With one group of w2's shifts the prefix is the
-    # transform of every variable of u but w, and the loop reads it.  T4.4b and
-    # T4.5b split y's 12 shifts in two groups of 6, two arrays of a group's 6 * 12^4
-    # entries beside x's 12^4; a block then holds one shift of the group's 10,368 rows, and
-    # R holds 12^3 results.  A slab smaller than a block shares it with other shifts.
-    _T44B = (12 ** 4, 6 * 12 ** 4, 10368 * 12, 10368, 12 ** 3, 2)
-    _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (12 ** 4, 0, 6 * 12 ** 4,
+    # (prefix, groups, block, first-contraction results, R, workers) of each streamed
+    # plan at n = 12 on two CPUs.  The prefix is the transform of u but w and w2
+    # (one time shift of w2's transform), and groups the entries of the arrays that
+    # w2's groups are built in: one array of every shift where there is one group.
+    # T4.4b and T4.5b split y's 12 shifts in two groups of 6, two arrays of a group's
+    # 6 * 12^4 entries beside x's 12^4; a block then holds one shift of the group's
+    # 10,368 rows, and R holds 12^3 results.  A slab smaller than a block shares it
+    # with other shifts.
+    _T44B = (12 ** 4, 2 * 6 * 12 ** 4, 10368 * 12, 10368, 12 ** 3, 2)
+    _STREAMED = {((2, 5, 1, 4, 3, 6), (2, 2, 1.5, 1.5, 1, INF)): (12 ** 3, 12 ** 4, 6 * 12 ** 4,
                                                                   6 * 12 ** 3, 12 ** 2, 2),
-                 ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 3, 0, 12 ** 4, 12 ** 2,
+                 ((2, 5, 1, 4, 3, 6), (2, 2, 2, 2, 1, INF)): (12 ** 2, 12 ** 3, 12 ** 4, 12 ** 2,
                                                               12 ** 2, 1),
                  ((6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1)): _T44B,
                  ((6, 5, 1, 2, 4, 3), (INF, 2, 1.5, 1.5, 1.5, 1)): _T44B,
-                 ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12 ** 2, 0, 12 ** 3, 12 ** 2, 12 ** 2, 1),
-                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 3, 0, 12 ** 4, 12 ** 2, 12, 1),
-                 ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 3, 0, 12 ** 4, 12 ** 2, 12, 1),
+                 ((1, 3, 2, 4), (2, 2, 1.5, 1.5)): (12, 12 ** 2, 12 ** 3, 12 ** 2, 12 ** 2, 1),
+                 ((2, 5, 1, 4, 6, 3), (2,) * 6): (12 ** 2, 12 ** 3, 12 ** 4, 12 ** 2, 12, 1),
+                 ((4, 2, 1, 5, 6, 3), (2, 2, 2, 2, 2, 1)): (12 ** 2, 12 ** 3, 12 ** 4, 12 ** 2,
+                                                            12, 1),
                  ((6, 1, 4, 2, 5, 3), (1.5, 2, 2, 1.5, 1.5, 1)): _T44B}
 
     @pytest.mark.parametrize("image,exps,rule,power", [
@@ -482,11 +486,13 @@ class TestNormPlanner:
         assert (u, v) == rule and full == ((image, exps) not in self._STREAMED)
         per_entry = 24 if (image, exps) in self._NO_TEMPS else 32
         if (image, exps) in self._STREAMED:  # the transforms, each worker's block and results, R
-            prefix, group, block, firsts, stacked, workers = self._STREAMED[image, exps]
-            want = (16 * (prefix + 2 * group) + workers * (24 * block + 48 * firsts + 2 ** 18)
+            prefix, groups, block, firsts, stacked, workers = self._STREAMED[image, exps]
+            want = (16 * (prefix + groups) + workers * (24 * block + 48 * firsts + 2 ** 18)
                     + 8 * stacked)
-        else:  # the full STFT: the one block of every shift, and the array it is cut from
-            want = per_entry * 12 ** power + 64 * 12 ** (power - 1) + 2 ** 18
+        else:  # the full STFT: the one block of every shift, the array it is cut from
+            # and the one before it
+            want = (per_entry * 12 ** power + 64 * 12 ** (power - 1) + 16 * 12 ** (power - 2)
+                    + 2 ** 18)
         assert planned_bytes(12, c, e) == want + 16 * 12 ** 2
 
     @pytest.mark.parametrize("n,image,exps", [
@@ -551,7 +557,7 @@ class TestNormPlanner:
         # Each worker beyond the first adds its block (24 bytes an entry), its
         # first contractions' results (48 bytes each, or 16 + 32 / n per absolute
         # value without one) and numpy's iterator buffers, up to one worker per
-        # group of w's shifts; the two arrays of w2's groups are held once.
+        # group of w's shifts; the prefix and the arrays of w2's groups are held once.
         # (Where R is large, as for T3.2 from n = 32, contracting R can outweigh
         # the loop, and a worker adds less.)
         c, e = Permutation(image), ExponentVector(exps)
@@ -577,14 +583,15 @@ class TestNormPlanner:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_t45a_at_64_keeps_one_group_on_any_workers(self, monkeypatch, cpus):
         # T4.5a keeps x's 64 shifts in one group at n = 64: two arrays of 32
-        # shifts each would price above it on two workers (13.4 against 11.5 MB).
+        # shifts each would price above it on two workers (13.4 against 11.6 MB).
         # Each worker adds only its block of 2048 rows, their 64^2 level-1 results
-        # and its iterator buffers, beside the 64^3 transform and R's 64^2 floats.
+        # and its iterator buffers, beside the 64^2 points that x's transform is
+        # built from, its one array of 64^3 entries and R's 64^2 floats.
         monkeypatch.setattr("gaborlab.mixednorm._cpus", lambda: cpus)
         c, e = Permutation((4, 1, 2, 3)), ExponentVector((2, 1.5, 1.5, 1.5))
         assert _plan(64, c, e)[4] == (64, 1, 2048, cpus)
-        want = (16 * 64 ** 3 + cpus * (24 * 2 ** 17 + 48 * 64 ** 2 + 2 ** 18) + 8 * 64 ** 2
-                + 16 * 64 ** 2)
+        want = (16 * (64 ** 2 + 64 ** 3) + cpus * (24 * 2 ** 17 + 48 * 64 ** 2 + 2 ** 18)
+                + 8 * 64 ** 2 + 16 * 64 ** 2)
         assert planned_bytes(64, c, e) == want
 
     def test_no_block_is_built_whole(self):
@@ -736,16 +743,51 @@ class TestNormPlanner:
         want = mixed_norm(stft(f, tensor_window(g, rank)), c, e)
         assert mixed_modulation_norm(f, g, c, e) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("image", [(1, 3, 2, 4), (1, 2, 3, 4)])  # streamed, full STFT
+    @pytest.mark.parametrize("image", [(1, 3, 2, 4), (1, 2, 3, 4), (6, 1, 4, 2, 5, 3)])
     def test_overflow_raises_floating_point_error(self, image):
-        # Finite entries of 1e308 overflow the transform on either route; that is
-        # no fault of the input, so neither route says "entries must be finite".
-        n = 8
-        c, e = Permutation(image), ExponentVector((2, 2, 1.5, 1.5))
-        assert _plan(n, c, e)[0] == (image == (1, 2, 3, 4))
-        with pytest.raises(FloatingPointError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mixed_modulation_norm(np.full((n, n), 1e308), FiniteSignal(n, 1, np.ones(n)), c, e)
+        # Finite entries of 1e308 overflow the transform on every route (streamed,
+        # full STFT, and T4.4b with y's shifts in one group at n = 8 and in two groups
+        # of 6 at n = 12, each transform written into a buffer); that is no fault of
+        # the input, so no route says "entries must be finite".
+        rank = len(image) // 2
+        c = Permutation(image)
+        e = ExponentVector((2, 2, 1.5, 1.5) if rank == 2 else (INF, 2, 2, 1.5, 1.5, 1))
+        for n in (8,) if rank == 2 else (8, 12):
+            full, _, _, _, (wide, *_), _ = _plan(n, c, e)
+            assert full == (image == (1, 2, 3, 4)) and wide == {8: 8, 12: 6}[n]
+            with pytest.raises(FloatingPointError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mixed_modulation_norm(np.full((n,) * rank, 1e308), FiniteSignal(n, 1, np.ones(n)),
+                                      c, e)
+
+    @pytest.mark.parametrize("n,image,exps,ratio", [
+        (8, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1), 8),   # T4.4b: one group of y's shifts
+        (12, (6, 1, 4, 2, 5, 3), (INF, 2, 2, 1.5, 1.5, 1), 8),  # T4.4b: two groups
+        (16, *_T32, 4),                                         # T3.2: x and xi transformed
+        (24, (4, 1, 2, 3), (2, 1.5, 1.5, 1.5), 4),              # T4.5a
+        (64, (1, 3, 2, 4), (2, 2, 1.5, 1.5), 2),                # T2.9: y transformed
+        (64, (2, 4, 1, 3), (INF, 2, 1.5, 1.5), 4),              # SHARP b1 under --raise 1=inf
+    ])
+    def test_each_transformed_variable_goes_through_stft_axis_once(self, monkeypatch, n, image,
+                                                                  exps, ratio):
+        # stft_axis is the one kernel of the streamed norm: the prefix, every group
+        # of w2's shifts and every row block of w's shifts.  A spy that doubles its
+        # output in place doubles the norm once for each transformed variable, and
+        # exactly, as every step of the norm commutes with a factor of 2.
+        c, e = Permutation(image), ExponentVector(exps)
+        full, u = _plan(n, c, e)[:2]
+        assert not full and ratio == 2 ** len(u)
+        f = random_signal(n, len(image) // 2, np.random.default_rng(n)).grid
+        g = periodized_gaussian(n)
+        plain = mixed_modulation_norm(f, g, c, e)
+
+        def doubled(*args, **kwargs):
+            out = stft_axis(*args, **kwargs)
+            out *= 2
+            return out
+
+        monkeypatch.setattr("gaborlab.mixednorm.stft_axis", doubled)
+        assert mixed_modulation_norm(f, g, c, e) == ratio * plain
 
     def test_full_stft_keeps_its_bits(self):
         # Without an l^2 pair or a slab the norm is mixed_norm of stft, bit for bit.

@@ -11,7 +11,9 @@ from gaborlab.signals import (
     dft,
     periodized_gaussian,
     random_signal,
+    shifted_window,
     stft,
+    stft_axis,
 )
 from gaborlab.mixednorm import tensor_window
 
@@ -165,6 +167,24 @@ class TestSTFT:
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
             stft(_rand(8, 1, 0), _rand(4, 1, 0))
+
+    @pytest.mark.parametrize("b", [1, 2, 4])
+    def test_stft_axis_writes_into_out(self, b):
+        """With an `out` buffer stft_axis returns that buffer, holding the bits of
+        the call without one; both are the product folded with period n/b where
+        b > 1 (as frames and FIO slices call it) and transformed, written out here."""
+        n, before, after = 8, 3, 5
+        rng = np.random.default_rng(b)
+        arr = rng.standard_normal(before * n * after) + 1j * rng.standard_normal(before * n * after)
+        rows = shifted_window(_rand(n, 1, 7), 2)  # the 4 time shifts of 2Z_8
+        want = arr.reshape(before, 1, n, after) * rows[:, :, None]
+        if b > 1:
+            want = want.reshape(before, len(rows), b, n // b, after).sum(axis=2)
+        want = np.fft.fft(want, axis=2)
+        buf = np.empty((before, len(rows), n // b, after), complex)
+        got = stft_axis(arr, rows, before, after, b, out=buf)
+        assert np.shares_memory(got, buf) and np.array_equal(got, want)
+        assert np.array_equal(stft_axis(arr, rows, before, after, b), want)
 
     def test_result_depends_only_on_arguments(self):
         """A transform against another window in between changes nothing."""
